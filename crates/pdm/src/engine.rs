@@ -28,34 +28,42 @@
 //! # Steady-state allocation freedom
 //!
 //! All plan storage is owned by the engine and reused across
-//! memoryloads and passes: the gather/scatter batch buffers, the
-//! striped-plan reference scratch, and the write-ticket list. After
-//! the first memoryload of the first pass, the engine's hot loop
-//! performs **no heap allocation** in the synchronous service modes
-//! (`crates/pdm/tests/engine_alloc.rs` asserts this with a counting
-//! global allocator; the threaded mode's channel machinery is exempt).
+//! memoryloads and passes: the gather/scatter batch buffers and the
+//! flattened-request scratch. After the first memoryload of the first
+//! pass, the engine's hot loop performs **no heap allocation** in the
+//! synchronous service modes (`crates/pdm/tests/engine_alloc.rs`
+//! asserts this with a counting global allocator; the threaded mode
+//! allocates one completion channel per memoryload read and write).
 //!
 //! # Overlap
 //!
-//! In [`ServiceMode::Threaded`] the engine runs split-phase: while the
-//! CPU transforms memoryload *k*, the per-disk service threads are
-//! already reading memoryload *k+1* and still draining the writes of
-//! memoryload *k−1*. Records move through the system's reusable block
-//! buffer pool instead of fresh allocations. The overlap is
-//! backend-agnostic: on a file-backed system
-//! ([`crate::system::Backend::File`]) each worker issues real
-//! positional system calls against its disk's file, so the pipeline
-//! hides genuine I/O latency rather than simulated copies
-//! (`engine_sweep`'s `file` section measures exactly this). In the synchronous service
-//! modes the engine degenerates to exactly the classic loop — same
-//! operations, same order, same operation numbering for
-//! [fault plans](crate::FaultPlan). (With overlap enabled the *set* of
-//! operations is identical but reads are issued one memoryload early,
-//! so fault-plan operation indices differ from the serial order. On
-//! *error* paths one further asymmetry exists in any mode: split-phase
-//! writes are charged at submission, so a pass aborted by a backend
-//! write failure has charged that operation where the classic loop
-//! would not — success-path statistics are always identical.)
+//! In [`ServiceMode::Threaded`] the engine runs split-phase, one
+//! memoryload at a time: it flattens memoryload *k+1*'s read plan into
+//! one request and hands it to
+//! [`DiskSystem::begin_read_batches`], which admits and charges its
+//! `M/BD` parallel I/Os in order and then submits **one run command
+//! per participating disk**; the memoryload's writes go out the same
+//! way through [`DiskSystem::begin_write_batches`]. So each memoryload
+//! costs one read ticket and one write ticket, and each disk worker
+//! one request and one reply per direction — not one per block. While
+//! the CPU transforms memoryload *k*, the workers are already reading
+//! memoryload *k+1* and still draining the writes of memoryload *k−1*.
+//! Records move through the system's reusable buffer pool instead of
+//! fresh allocations. The overlap is backend-agnostic: on a
+//! file-backed system ([`crate::system::Backend::File`]) each worker
+//! issues real positional system calls against its disk's file, so the
+//! pipeline hides genuine I/O latency rather than simulated copies
+//! (`engine_sweep`'s `file` section measures exactly this). In the
+//! synchronous service modes the engine degenerates to exactly the
+//! classic loop — same operations, same order, same operation
+//! numbering for [fault plans](crate::FaultPlan). (With overlap enabled
+//! the *set* of operations is identical but reads are issued one
+//! memoryload early, so fault-plan operation indices differ from the
+//! serial order. On *error* paths one further asymmetry exists in any
+//! mode: split-phase writes are charged at submission, so a pass
+//! aborted by a backend write failure has charged that operation where
+//! the classic loop would not — success-path statistics are always
+//! identical.)
 //!
 //! ```
 //! use pdm::{DiskSystem, Geometry};
@@ -228,6 +236,20 @@ impl BlockBatches {
     /// exhausted, leaving `out` empty.
     pub fn next_batch_into(&self, cursor: &mut BatchCursor, out: &mut Vec<BlockRef>) -> bool {
         out.clear();
+        self.append_batch(cursor, out)
+    }
+
+    /// Materialises every batch, in order, into `out` (cleared first):
+    /// the flattened request whose consecutive `batch_len` references
+    /// are one parallel I/O each, as
+    /// [`DiskSystem::begin_read_batches`] takes it.
+    pub fn flatten_into(&self, cursor: &mut BatchCursor, out: &mut Vec<BlockRef>) {
+        out.clear();
+        self.begin(cursor);
+        while self.append_batch(cursor, out) {}
+    }
+
+    fn append_batch(&self, cursor: &mut BatchCursor, out: &mut Vec<BlockRef>) -> bool {
         if cursor.batch >= cursor.num_batches {
             return false;
         }
@@ -288,10 +310,10 @@ pub enum WritePlan {
 }
 
 /// The reusable streaming loop. Owns two `M`-record buffers (data and
-/// scratch) plus all plan storage (gather/scatter batches, striped
-/// reference scratch, ticket lists), so a multi-pass algorithm
-/// allocates its working memory once and streams every subsequent
-/// memoryload allocation-free.
+/// scratch) plus all plan storage (gather/scatter batches and the
+/// flattened-request scratch), so a multi-pass algorithm allocates its
+/// working memory once and streams every subsequent memoryload
+/// allocation-free.
 pub struct PassEngine<R: Record> {
     data: Vec<R>,
     scratch: Vec<R>,
@@ -299,24 +321,24 @@ pub struct PassEngine<R: Record> {
     gather: BlockBatches,
     /// Scatter plan storage, refilled by the `transform` callback.
     scatter: BlockBatches,
-    /// Reused block-reference scratch: per-stripe references for
-    /// striped plans, and the materialisation target for run-length
-    /// gather/scatter batches.
-    stripe_refs: Vec<BlockRef>,
+    /// Reused block-reference scratch: a memoryload's flattened
+    /// request (or, in the synchronous modes, one gather batch).
+    refs: Vec<BlockRef>,
     /// Reused iteration state for the run-length batch plans.
     cursor: BatchCursor,
-    /// Reused in-flight write tickets (bounded to one memoryload).
-    write_tickets: Vec<WriteTicket<R>>,
+    /// The previous memoryload's writes, still in flight under
+    /// overlap (the write pipeline is bounded to one memoryload).
+    write_ticket: Option<WriteTicket<R>>,
 }
 
 /// The reads for one memoryload, in whichever phase the service mode
-/// dictates: split-phase tickets already in flight (Threaded overlap),
-/// or a plan to execute directly into the memoryload buffer when its
-/// turn comes (synchronous modes — one copy, no staging buffers).
+/// dictates: one split-phase ticket already in flight (Threaded
+/// overlap), or a plan to execute directly into the memoryload buffer
+/// when its turn comes (synchronous modes — one copy, no staging
+/// buffers).
 enum PendingLoad<R: Record> {
-    /// One ticket per parallel I/O, each tagged with its destination
-    /// offset (in records) in the memoryload buffer.
-    Tickets(Vec<(usize, ReadTicket<R>)>),
+    /// The whole memoryload, in flight as one run command per disk.
+    Ticket(ReadTicket<R>),
     /// Not yet issued; performed synchronously at collection time. A
     /// deferred [`ReadPlan::Gather`] refers to the engine's gather
     /// batches, which stay untouched until the plan executes.
@@ -338,9 +360,9 @@ impl<R: Record> PassEngine<R> {
             scratch: vec![R::default(); geom.memory()],
             gather: BlockBatches::default(),
             scatter: BlockBatches::default(),
-            stripe_refs: Vec::with_capacity(geom.disks()),
+            refs: Vec::with_capacity(geom.memory() / geom.block()),
             cursor: BatchCursor::default(),
-            write_tickets: Vec::with_capacity(geom.stripes_per_memoryload()),
+            write_ticket: None,
         }
     }
 
@@ -387,12 +409,10 @@ impl<R: Record> PassEngine<R> {
         let mut pending_read: Option<PendingLoad<R>> = None;
         let result = self.run_pass_inner(sys, &mut pending_read, &mut reads, &mut transform);
         if result.is_err() {
-            if let Some(PendingLoad::Tickets(tickets)) = pending_read.take() {
-                for (_, t) in tickets {
-                    sys.discard_read(t);
-                }
+            if let Some(PendingLoad::Ticket(t)) = pending_read.take() {
+                sys.discard_read(t);
             }
-            for t in self.write_tickets.drain(..) {
+            if let Some(t) = self.write_ticket.take() {
                 // Transfer errors here are masked by the original
                 // error; buffers are reclaimed either way.
                 let _ = sys.finish_write(t);
@@ -419,7 +439,7 @@ impl<R: Record> PassEngine<R> {
             self.data.len() == mem && self.scratch.len() == mem,
             "engine built for a different geometry"
         );
-        self.write_tickets.clear();
+        debug_assert!(self.write_ticket.is_none(), "previous pass not drained");
         // Overlap only pays (and only changes operation ordering) when
         // the service threads can run transfers behind the CPU. In the
         // synchronous modes the engine degenerates to the classic loop:
@@ -429,186 +449,97 @@ impl<R: Record> PassEngine<R> {
 
         let first = reads(0, &mut self.gather);
         *pending_read = Some(if overlap {
-            PendingLoad::Tickets(Self::issue_reads(
-                sys,
-                &geom,
-                first,
-                &self.gather,
-                &mut self.cursor,
-                &mut self.stripe_refs,
-            )?)
+            PendingLoad::Ticket(self.issue_reads(sys, first)?)
         } else {
             PendingLoad::Plan(first)
         });
         for t in 0..loads {
             let current = pending_read.take().expect("read pipeline primed");
-            Self::collect_reads(
-                sys,
-                &geom,
-                current,
-                &self.gather,
-                &mut self.cursor,
-                &mut self.stripe_refs,
-                &mut self.data,
-            )?;
+            self.collect_reads(sys, current)?;
             if overlap && t + 1 < loads {
                 let plan = reads(t + 1, &mut self.gather);
-                *pending_read = Some(PendingLoad::Tickets(Self::issue_reads(
-                    sys,
-                    &geom,
-                    plan,
-                    &self.gather,
-                    &mut self.cursor,
-                    &mut self.stripe_refs,
-                )?));
+                *pending_read = Some(PendingLoad::Ticket(self.issue_reads(sys, plan)?));
             }
             let wp = transform(t, &mut self.data, &mut self.scratch, &mut self.scatter);
             // Bound the write pipeline to one memoryload: drain the
             // previous load's writes before issuing this load's.
-            Self::drain_writes(sys, &mut self.write_tickets)?;
-            Self::issue_writes(
-                sys,
-                &geom,
-                wp,
-                &self.scatter,
-                &self.data,
-                &mut self.cursor,
-                &mut self.stripe_refs,
-                &mut self.write_tickets,
-            )?;
-            if !overlap && t + 1 < loads {
-                // Synchronous modes: keep the classic loop's operation
-                // order (write memoryload t, then read t+1).
-                Self::drain_writes(sys, &mut self.write_tickets)?;
-                *pending_read = Some(PendingLoad::Plan(reads(t + 1, &mut self.gather)));
+            if let Some(w) = self.write_ticket.take() {
+                sys.finish_write(w)?;
+            }
+            let w = self.issue_writes(sys, wp)?;
+            if overlap {
+                self.write_ticket = Some(w);
+            } else {
+                // Synchronous modes: the writes completed at issue;
+                // keep the classic loop's operation order (write
+                // memoryload t, then read t+1).
+                sys.finish_write(w)?;
+                if t + 1 < loads {
+                    *pending_read = Some(PendingLoad::Plan(reads(t + 1, &mut self.gather)));
+                }
             }
         }
-        Self::drain_writes(sys, &mut self.write_tickets)?;
+        if let Some(w) = self.write_ticket.take() {
+            sys.finish_write(w)?;
+        }
         Ok(())
     }
 
-    /// Finishes every outstanding write ticket — even after one fails —
-    /// so their staging buffers always return to the pool; the first
-    /// error is reported.
-    fn drain_writes(sys: &mut DiskSystem<R>, pending: &mut Vec<WriteTicket<R>>) -> Result<()> {
-        let mut first_err = None;
-        for w in pending.drain(..) {
-            if let Err(e) = sys.finish_write(w) {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+    /// Flattens a memoryload's read or write plan into `self.refs`,
+    /// returning its batch length (blocks per parallel I/O).
+    fn flatten(&mut self, sys: &DiskSystem<R>, request: Request) -> usize {
+        let geom = sys.geometry();
+        let (plan, what) = match request {
+            Request::Striped { portion, ml } => {
+                sys.memoryload_refs(portion, ml, &mut self.refs);
+                return geom.disks();
             }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn issue_reads(
-        sys: &mut DiskSystem<R>,
-        geom: &Geometry,
-        plan: ReadPlan,
-        gather: &BlockBatches,
-        cursor: &mut BatchCursor,
-        stripe_refs: &mut Vec<BlockRef>,
-    ) -> Result<Vec<(usize, ReadTicket<R>)>> {
-        let block = geom.block();
-        let mut tickets = Vec::new();
-        let issue = |sys: &mut DiskSystem<R>,
-                     offset: usize,
-                     refs: &[BlockRef],
-                     tickets: &mut Vec<(usize, ReadTicket<R>)>|
-         -> Result<()> {
-            match sys.begin_read(refs) {
-                Ok(t) => {
-                    tickets.push((offset, t));
-                    Ok(())
-                }
-                Err(e) => {
-                    // Abort: reclaim the tickets issued so far.
-                    for (_, t) in tickets.drain(..) {
-                        sys.discard_read(t);
-                    }
-                    Err(e)
-                }
-            }
+            Request::Gather => (&self.gather, "gather"),
+            Request::Scatter => (&self.scatter, "scatter"),
         };
-        match plan {
-            ReadPlan::Memoryload { portion, ml } => {
-                let spm = geom.stripes_per_memoryload();
-                let stripe_len = block * geom.disks();
-                let base = sys.portion_base(portion) + ml * spm;
-                for s in 0..spm {
-                    stripe_refs.clear();
-                    stripe_refs.extend((0..geom.disks()).map(|disk| BlockRef {
-                        disk,
-                        slot: base + s,
-                    }));
-                    issue(sys, s * stripe_len, stripe_refs, &mut tickets)?;
-                }
-            }
-            ReadPlan::Gather => {
-                assert_eq!(
-                    gather.total_blocks() * block,
-                    geom.memory(),
-                    "gather plan must cover exactly one memoryload"
-                );
-                let mut offset = 0;
-                gather.begin(cursor);
-                while gather.next_batch_into(cursor, stripe_refs) {
-                    issue(sys, offset, stripe_refs, &mut tickets)?;
-                    offset += stripe_refs.len() * block;
-                }
-            }
-        }
-        Ok(tickets)
+        assert_eq!(
+            plan.total_blocks() * geom.block(),
+            geom.memory(),
+            "{what} plan must cover exactly one memoryload"
+        );
+        plan.flatten_into(&mut self.cursor, &mut self.refs);
+        plan.batch_len()
     }
 
-    /// Collects one memoryload into `out`: waits out in-flight tickets,
-    /// or executes a deferred plan directly (synchronous modes).
-    #[allow(clippy::too_many_arguments)]
-    fn collect_reads(
-        sys: &mut DiskSystem<R>,
-        geom: &Geometry,
-        load: PendingLoad<R>,
-        gather: &BlockBatches,
-        cursor: &mut BatchCursor,
-        refs_scratch: &mut Vec<BlockRef>,
-        out: &mut [R],
-    ) -> Result<()> {
-        let block = geom.block();
+    /// Issues one memoryload's reads as a single split-phase batch.
+    fn issue_reads(&mut self, sys: &mut DiskSystem<R>, plan: ReadPlan) -> Result<ReadTicket<R>> {
+        let request = match plan {
+            ReadPlan::Memoryload { portion, ml } => Request::Striped { portion, ml },
+            ReadPlan::Gather => Request::Gather,
+        };
+        let batch_len = self.flatten(sys, request);
+        sys.begin_read_batches(&self.refs, batch_len)
+    }
+
+    /// Collects one memoryload into the data buffer: waits out the
+    /// in-flight ticket, or executes a deferred plan directly
+    /// (synchronous modes).
+    fn collect_reads(&mut self, sys: &mut DiskSystem<R>, load: PendingLoad<R>) -> Result<()> {
         match load {
-            PendingLoad::Tickets(tickets) => {
-                let mut first_err = None;
-                for (offset, ticket) in tickets {
-                    let len = ticket.records(block);
-                    let r = sys.finish_read(ticket, &mut out[offset..offset + len]);
-                    if let Err(e) = r {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
+            PendingLoad::Ticket(ticket) => sys.finish_read(ticket, &mut self.data),
             PendingLoad::Plan(ReadPlan::Memoryload { portion, ml }) => {
-                sys.read_memoryload_into(portion, ml, out)
+                sys.read_memoryload_into(portion, ml, &mut self.data)
             }
             PendingLoad::Plan(ReadPlan::Gather) => {
+                let block = sys.geometry().block();
                 assert_eq!(
-                    gather.total_blocks() * block,
-                    geom.memory(),
+                    self.gather.total_blocks() * block,
+                    self.data.len(),
                     "gather plan must cover exactly one memoryload"
                 );
                 let mut offset = 0;
-                gather.begin(cursor);
-                while gather.next_batch_into(cursor, refs_scratch) {
-                    let len = refs_scratch.len() * block;
-                    sys.read_blocks_into(refs_scratch, &mut out[offset..offset + len])?;
+                self.gather.begin(&mut self.cursor);
+                while self
+                    .gather
+                    .next_batch_into(&mut self.cursor, &mut self.refs)
+                {
+                    let len = self.refs.len() * block;
+                    sys.read_blocks_into(&self.refs, &mut self.data[offset..offset + len])?;
                     offset += len;
                 }
                 Ok(())
@@ -616,63 +547,27 @@ impl<R: Record> PassEngine<R> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn issue_writes(
-        sys: &mut DiskSystem<R>,
-        geom: &Geometry,
-        plan: WritePlan,
-        scatter: &BlockBatches,
-        data: &[R],
-        cursor: &mut BatchCursor,
-        stripe_refs: &mut Vec<BlockRef>,
-        tickets: &mut Vec<WriteTicket<R>>,
-    ) -> Result<()> {
-        let block = geom.block();
-        debug_assert!(tickets.is_empty(), "previous load's writes not drained");
-        let abort = |sys: &mut DiskSystem<R>, tickets: &mut Vec<WriteTicket<R>>, e| {
-            for t in tickets.drain(..) {
-                let _ = sys.finish_write(t);
-            }
-            Err(e)
+    /// Issues one memoryload's writes as a single split-phase batch
+    /// from the data buffer.
+    fn issue_writes(&mut self, sys: &mut DiskSystem<R>, plan: WritePlan) -> Result<WriteTicket<R>> {
+        let request = match plan {
+            WritePlan::Memoryload { portion, ml } => Request::Striped { portion, ml },
+            WritePlan::Scatter => Request::Scatter,
         };
-        match plan {
-            WritePlan::Memoryload { portion, ml } => {
-                let spm = geom.stripes_per_memoryload();
-                let stripe_len = block * geom.disks();
-                let base = sys.portion_base(portion) + ml * spm;
-                for s in 0..spm {
-                    stripe_refs.clear();
-                    stripe_refs.extend((0..geom.disks()).map(|disk| BlockRef {
-                        disk,
-                        slot: base + s,
-                    }));
-                    match sys.begin_write(stripe_refs, &data[s * stripe_len..(s + 1) * stripe_len])
-                    {
-                        Ok(t) => tickets.push(t),
-                        Err(e) => return abort(sys, tickets, e),
-                    }
-                }
-            }
-            WritePlan::Scatter => {
-                assert_eq!(
-                    scatter.total_blocks() * block,
-                    geom.memory(),
-                    "scatter plan must cover exactly one memoryload"
-                );
-                let mut offset = 0;
-                scatter.begin(cursor);
-                while scatter.next_batch_into(cursor, stripe_refs) {
-                    let len = stripe_refs.len() * block;
-                    match sys.begin_write(stripe_refs, &data[offset..offset + len]) {
-                        Ok(t) => tickets.push(t),
-                        Err(e) => return abort(sys, tickets, e),
-                    }
-                    offset += len;
-                }
-            }
-        }
-        Ok(())
+        let batch_len = self.flatten(sys, request);
+        sys.begin_write_batches(&self.refs, batch_len, &self.data)
     }
+}
+
+/// One memoryload's request, as the engine flattens it.
+#[derive(Clone, Copy)]
+enum Request {
+    /// The `M/BD` stripes of memoryload `ml` of `portion`.
+    Striped { portion: usize, ml: usize },
+    /// The engine's gather batches.
+    Gather,
+    /// The engine's scatter batches.
+    Scatter,
 }
 
 #[cfg(test)]

@@ -6,27 +6,43 @@
 //! request/reply protocol ([`Cmd`] / [`Completion`]) is the same
 //! whether the worker is a thread in this process, a `pdm-diskd`
 //! process behind a Unix-domain socket, or a deterministic simulated
-//! network (see [`crate::transport`]). Three disciplines exist:
+//! network (see [`crate::transport`]).
+//!
+//! # Run commands
+//!
+//! A command is *run-shaped*: a list of slots on one disk plus one
+//! pooled buffer holding one block per slot, answered by exactly one
+//! [`Completion`]. The [`crate::system::DiskSystem`] admits and charges
+//! a memoryload's parallel I/Os one by one, then groups their blocks by
+//! disk and submits **one command per participating disk**. A
+//! memoryload of `M/BD` parallel I/Os therefore costs each worker one
+//! request and one reply instead of `M/BD` of each — the message
+//! analogue of the paper's one-memoryload-at-a-time I/O bound. A single
+//! block is a run of length one; there is no second command kind.
+//! Workers that own their disk unit loop over the run ([`serve_cmd`]);
+//! the wire transports expand it into one protocol frame per block, so
+//! their message and byte counts are those of per-block dispatch.
+//!
+//! Two disciplines exist:
 //!
 //! * [`DiskPool`] — **persistent** workers, one per disk, fed through
-//!   transports. Commands carry owned block buffers (recycled by the
-//!   caller's buffer pool), so an in-process transfer costs one channel
-//!   round-trip instead of a thread spawn. Because submission and
-//!   completion are decoupled, a caller can keep an operation in
-//!   flight while it computes — this is what the [`crate::engine`]
-//!   pipeline uses to overlap the permute of memoryload *k* with the
-//!   reads of memoryload *k+1*, and the overlap survives remoteness:
-//!   over a socket the requests pipeline the same way.
+//!   transports. Commands carry owned buffers (recycled by the caller's
+//!   buffer pool). Because submission and completion are decoupled, a
+//!   caller can keep an operation in flight while it computes — this is
+//!   what the [`crate::engine`] pipeline uses to overlap the permute of
+//!   memoryload *k* with the reads of memoryload *k+1*, and the overlap
+//!   survives remoteness: over a socket the requests pipeline the same
+//!   way.
 //! * [`threaded_read`] / [`threaded_write`] — the legacy
 //!   spawn-per-operation discipline retained as
 //!   [`crate::system::ServiceMode::SpawnPerOp`] for comparison
 //!   benchmarks (`engine_sweep`): every parallel I/O pays `D` thread
 //!   spawns and joins.
 //!
-//! For [`crate::backend::MemDisk`] threading is pure overhead either
-//! way, but for [`crate::backend::FileDisk`] it overlaps real system
-//! calls exactly the way a hardware disk array would. The `DiskSystem`
-//! chooses the discipline via
+//! For [`crate::backend::MemDisk`] threading buys little beyond the
+//! overlap, but for [`crate::backend::FileDisk`] it overlaps real
+//! system calls exactly the way a hardware disk array would. The
+//! `DiskSystem` chooses the discipline via
 //! [`crate::system::DiskSystem::set_service_mode`].
 
 use crate::backend::DiskUnit;
@@ -37,26 +53,29 @@ use parking_lot::Mutex;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
-/// A command for one disk's service thread. Buffers travel by value:
-/// the worker fills (read) or drains (write) the buffer and sends it
-/// back in the [`Completion`], so the caller's pool can recycle it.
+/// A command for one disk's worker. Buffers travel by value: the worker
+/// fills (read) or drains (write) the buffer and sends it back, with
+/// the slot list, in the [`Completion`], so the caller can recycle
+/// both.
 pub enum Cmd<R: Record> {
-    /// Read block `slot` into `buf` and reply on `done`.
+    /// Read the blocks at `slots` into consecutive block-sized chunks
+    /// of `buf` and reply once on `done`.
     Read {
-        /// Block slot on this disk.
-        slot: usize,
-        /// Destination buffer, exactly one block long.
+        /// Block slots on this disk, in buffer order.
+        slots: Vec<usize>,
+        /// Destination buffer, exactly `slots.len()` blocks long.
         buf: Vec<R>,
         /// Caller's request index, echoed in the completion.
         idx: usize,
         /// Completion channel.
         done: Sender<Completion<R>>,
     },
-    /// Write `buf` to block `slot` and reply on `done`.
+    /// Write the consecutive block-sized chunks of `buf` to `slots` and
+    /// reply once on `done`.
     Write {
-        /// Block slot on this disk.
-        slot: usize,
-        /// Source buffer, exactly one block long.
+        /// Block slots on this disk, in buffer order.
+        slots: Vec<usize>,
+        /// Source buffer, exactly `slots.len()` blocks long.
         buf: Vec<R>,
         /// Caller's request index, echoed in the completion.
         idx: usize,
@@ -67,17 +86,64 @@ pub enum Cmd<R: Record> {
     Stop,
 }
 
-/// The result of one block transfer, carrying the buffer back for
-/// reuse.
+/// The answer to one run command, carrying the buffer and slot list
+/// back for reuse.
 pub struct Completion<R> {
     /// The request index from the [`Cmd`].
     pub idx: usize,
     /// The disk that serviced the request.
     pub disk: usize,
-    /// The block buffer (filled with data for reads).
+    /// The run buffer (filled with data for reads).
     pub buf: Vec<R>,
-    /// Transfer outcome.
+    /// The command's slot list, returned for recycling (a transport may
+    /// have rebased its entries).
+    pub slots: Vec<usize>,
+    /// Transfer outcome: every block of the run is attempted and the
+    /// first failure is reported.
     pub result: Result<()>,
+}
+
+/// Services one command against a disk unit the calling worker owns:
+/// every slot of the run in order, then one reply. Returns `false` for
+/// [`Cmd::Stop`], which services nothing. Public so out-of-crate
+/// workers (the service's disk farm) share the loop.
+pub fn serve_cmd<R: Record>(unit: &mut dyn DiskUnit<R>, disk: usize, cmd: Cmd<R>) -> bool {
+    let (is_read, slots, mut buf, idx, done) = match cmd {
+        Cmd::Read {
+            slots,
+            buf,
+            idx,
+            done,
+        } => (true, slots, buf, idx, done),
+        Cmd::Write {
+            slots,
+            buf,
+            idx,
+            done,
+        } => (false, slots, buf, idx, done),
+        Cmd::Stop => return false,
+    };
+    let block = unit.block();
+    debug_assert_eq!(buf.len(), slots.len() * block, "run buffer size");
+    let mut result = Ok(());
+    for (&slot, chunk) in slots.iter().zip(buf.chunks_exact_mut(block)) {
+        let r = if is_read {
+            unit.read(slot, chunk)
+        } else {
+            unit.write(slot, chunk)
+        };
+        if result.is_ok() {
+            result = r;
+        }
+    }
+    let _ = done.send(Completion {
+        idx,
+        disk,
+        buf,
+        slots,
+        result,
+    });
+    true
 }
 
 /// One disk's end of the request/reply protocol.
@@ -88,10 +154,11 @@ pub struct Completion<R> {
 ///
 /// * **Submission never blocks on the reply** (it may block briefly on
 ///   a socket write).
-/// * **Every command is answered exactly once**, including after the
-///   link dies: a transport failure surfaces *through the completion*
-///   as [`PdmError::Disconnected`] with the buffer attached, never as
-///   a panic or a silently dropped command. Buffer-pool hygiene is
+/// * **Every command is answered exactly once**, however many blocks
+///   its run carries, including after the link dies: a transport
+///   failure surfaces *through the completion* as
+///   [`PdmError::Disconnected`] with the buffer attached, never as a
+///   panic or a silently dropped command. Buffer-pool hygiene is
 ///   therefore identical on every path.
 /// * Replies may arrive in any order across disks; per disk they
 ///   follow submission order.
@@ -145,16 +212,28 @@ pub trait Transport<R: Record>: Send {
 }
 
 /// Answers `cmd` with [`PdmError::Disconnected`], returning its buffer
-/// through the completion so the caller's pool can recycle it. Public
-/// so out-of-crate [`Transport`] implementations (the service's disk
-/// farm) can honour the severed-link contract.
+/// and slot list through the completion so the caller can recycle
+/// them. Public so out-of-crate [`Transport`] implementations (the
+/// service's disk farm) can honour the severed-link contract.
 pub fn fail_disconnected<R: Record>(cmd: Cmd<R>, disk: usize) {
     match cmd {
-        Cmd::Read { buf, idx, done, .. } | Cmd::Write { buf, idx, done, .. } => {
+        Cmd::Read {
+            slots,
+            buf,
+            idx,
+            done,
+        }
+        | Cmd::Write {
+            slots,
+            buf,
+            idx,
+            done,
+        } => {
             let _ = done.send(Completion {
                 idx,
                 disk,
                 buf,
+                slots,
                 result: Err(PdmError::Disconnected { disk }),
             });
         }
@@ -183,36 +262,8 @@ impl<R: Record> InProcTransport<R> {
             .name(format!("pdm-disk-{disk}"))
             .spawn(move || {
                 while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Cmd::Read {
-                            slot,
-                            mut buf,
-                            idx,
-                            done,
-                        } => {
-                            let result = unit.read(slot, &mut buf);
-                            let _ = done.send(Completion {
-                                idx,
-                                disk,
-                                buf,
-                                result,
-                            });
-                        }
-                        Cmd::Write {
-                            slot,
-                            buf,
-                            idx,
-                            done,
-                        } => {
-                            let result = unit.write(slot, &buf);
-                            let _ = done.send(Completion {
-                                idx,
-                                disk,
-                                buf,
-                                result,
-                            });
-                        }
-                        Cmd::Stop => break,
+                    if !serve_cmd(unit.as_mut(), disk, cmd) {
+                        break;
                     }
                 }
                 unit
@@ -450,6 +501,34 @@ mod tests {
             .collect()
     }
 
+    fn read(
+        slots: Vec<usize>,
+        block: usize,
+        idx: usize,
+        done: &Sender<Completion<u64>>,
+    ) -> Cmd<u64> {
+        Cmd::Read {
+            buf: vec![0; slots.len() * block],
+            slots,
+            idx,
+            done: done.clone(),
+        }
+    }
+
+    fn write(
+        slots: Vec<usize>,
+        buf: Vec<u64>,
+        idx: usize,
+        done: &Sender<Completion<u64>>,
+    ) -> Cmd<u64> {
+        Cmd::Write {
+            slots,
+            buf,
+            idx,
+            done: done.clone(),
+        }
+    }
+
     #[test]
     fn threaded_round_trip() {
         let mut u = units(2, 4, 4);
@@ -498,12 +577,7 @@ mod tests {
         for d in 0..4usize {
             pool.submit(
                 d,
-                Cmd::Write {
-                    slot: d,
-                    buf: vec![d as u64 * 10, d as u64 * 10 + 1],
-                    idx: d,
-                    done: tx.clone(),
-                },
+                write(vec![d], vec![d as u64 * 10, d as u64 * 10 + 1], d, &tx),
             );
         }
         for _ in 0..4 {
@@ -512,15 +586,7 @@ mod tests {
         }
         // Read them back concurrently.
         for d in 0..4usize {
-            pool.submit(
-                d,
-                Cmd::Read {
-                    slot: d,
-                    buf: vec![0u64; 2],
-                    idx: d,
-                    done: tx.clone(),
-                },
-            );
+            pool.submit(d, read(vec![d], 2, d, &tx));
         }
         let mut got = vec![Vec::new(); 4];
         for _ in 0..4 {
@@ -540,21 +606,37 @@ mod tests {
     }
 
     #[test]
+    fn one_run_moves_many_blocks_with_one_reply() {
+        let mut pool = DiskPool::new(units(2, 8, 1));
+        let (tx, rx) = channel();
+        // Slots out of order: the buffer follows the slot list.
+        pool.submit(
+            0,
+            write(vec![5, 1, 6], vec![50, 51, 10, 11, 60, 61], 7, &tx),
+        );
+        let c = rx.recv().unwrap();
+        c.result.unwrap();
+        assert_eq!((c.idx, c.slots), (7, vec![5, 1, 6]));
+        pool.submit(0, read(vec![6, 5, 1], 2, 8, &tx));
+        let c = rx.recv().unwrap();
+        c.result.unwrap();
+        assert_eq!(c.buf, vec![60, 61, 50, 51, 10, 11]);
+        assert!(rx.try_recv().is_err(), "exactly one completion per run");
+    }
+
+    #[test]
     fn pool_propagates_unit_errors_with_buffer() {
         let mut pool = DiskPool::new(units(2, 2, 1));
         let (tx, rx) = channel();
-        pool.submit(
-            0,
-            Cmd::Read {
-                slot: 9, // out of range
-                buf: vec![0u64; 2],
-                idx: 0,
-                done: tx,
-            },
-        );
+        // Slot 9 is out of range; the rest of the run is still served.
+        pool.submit(0, read(vec![0, 9, 1], 2, 0, &tx));
         let c = rx.recv().unwrap();
-        assert!(c.result.is_err());
-        assert_eq!(c.buf.len(), 2, "buffer must come back even on error");
+        assert!(matches!(
+            c.result,
+            Err(PdmError::OutOfRange { slot: 9, .. })
+        ));
+        assert_eq!(c.buf.len(), 6, "buffer must come back even on error");
+        assert_eq!(c.slots.len(), 3, "slot list must come back even on error");
     }
 
     #[test]
@@ -567,15 +649,7 @@ mod tests {
     fn inproc_transport_reports_zero_messages() {
         let mut pool = DiskPool::new(units(2, 2, 2));
         let (tx, rx) = channel();
-        pool.submit(
-            0,
-            Cmd::Write {
-                slot: 1,
-                buf: vec![7u64, 8],
-                idx: 0,
-                done: tx,
-            },
-        );
+        pool.submit(0, write(vec![1], vec![7u64, 8], 0, &tx));
         rx.recv().unwrap().result.unwrap();
         assert!(pool.message_stats().is_zero());
         assert!(pool.message_stats_per_disk().iter().all(MsgStats::is_zero));
@@ -588,31 +662,16 @@ mod tests {
         pool.inject_disconnect(1);
         for _ in 0..2 {
             let (tx, rx) = channel();
-            pool.submit(
-                1,
-                Cmd::Read {
-                    slot: 0,
-                    buf: vec![0u64; 2],
-                    idx: 3,
-                    done: tx,
-                },
-            );
+            pool.submit(1, read(vec![0, 1], 2, 3, &tx));
             let c = rx.recv().unwrap();
             assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 1 })));
-            assert_eq!(c.buf.len(), 2, "buffer must come back on disconnect");
+            assert_eq!(c.buf.len(), 4, "buffer must come back on disconnect");
+            assert_eq!(c.slots, vec![0, 1]);
             assert_eq!(c.idx, 3);
         }
         // The other disk is unaffected.
         let (tx, rx) = channel();
-        pool.submit(
-            0,
-            Cmd::Read {
-                slot: 0,
-                buf: vec![0u64; 2],
-                idx: 0,
-                done: tx,
-            },
-        );
+        pool.submit(0, read(vec![0], 2, 0, &tx));
         rx.recv().unwrap().result.unwrap();
     }
 
@@ -620,28 +679,12 @@ mod tests {
     fn respawn_revives_a_severed_inproc_link_with_data_intact() {
         let mut pool = DiskPool::new(units(2, 4, 2));
         let (tx, rx) = channel();
-        pool.submit(
-            1,
-            Cmd::Write {
-                slot: 0,
-                buf: vec![41u64, 42],
-                idx: 0,
-                done: tx.clone(),
-            },
-        );
+        pool.submit(1, write(vec![0], vec![41u64, 42], 0, &tx));
         rx.recv().unwrap().result.unwrap();
         // Healthy link: nothing to revive.
         assert!(!pool.respawn(1).unwrap());
         pool.inject_disconnect(1);
-        pool.submit(
-            1,
-            Cmd::Read {
-                slot: 0,
-                buf: vec![0u64; 2],
-                idx: 0,
-                done: tx.clone(),
-            },
-        );
+        pool.submit(1, read(vec![0], 2, 0, &tx));
         let c = rx.recv().unwrap();
         assert!(matches!(c.result, Err(PdmError::Disconnected { disk: 1 })));
         // Revive and re-read: the unit (and its data) survived.
@@ -649,7 +692,7 @@ mod tests {
         pool.submit(
             1,
             Cmd::Read {
-                slot: 0,
+                slots: c.slots,
                 buf: c.buf,
                 idx: 0,
                 done: tx,

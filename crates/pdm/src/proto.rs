@@ -32,6 +32,12 @@
 //! | WRITE `slot`       | tag, idx `u64`, slot `u64`, block bytes| tag, idx              |
 //! | STOP               | tag                                    | none (worker exits)   |
 //!
+//! A run command ([`crate::parallel::Cmd`]) crosses as one READ or
+//! WRITE frame per block of its run, `idx` numbering the blocks within
+//! the run; the client transport answers the run once the last reply
+//! arrives. Frames stay block-granular, so message and byte counts do
+//! not depend on how the caller batched its commands.
+//!
 //! Record payloads serialize through the existing
 //! [`crate::record::ByteRecord`] surface — the same fixed-width layout
 //! the file backend pins on disk — so a round trip is lossless and
@@ -494,6 +500,16 @@ enum ByteStore {
     File(std::fs::File),
 }
 
+/// Bytes of a store of `slots` blocks of `block_bytes`, or a typed
+/// [`PdmError::Config`] when the product overflows `usize`.
+fn store_bytes(block_bytes: usize, slots: usize) -> Result<usize> {
+    block_bytes.checked_mul(slots).ok_or_else(|| {
+        PdmError::Config(format!(
+            "disk store of {slots} slots x {block_bytes}-byte blocks overflows the address space"
+        ))
+    })
+}
+
 /// The server side of the protocol: owns one disk's storage and turns
 /// request frames into reply frames. Both the `pdm-diskd` process and
 /// the SimNet transport drive this same struct, so the simulated
@@ -509,13 +525,15 @@ pub struct Worker {
 
 impl Worker {
     /// A memory-backed worker: `slots` zeroed blocks of `block_bytes`.
-    pub fn new_mem(block_bytes: usize, slots: usize) -> Self {
-        Worker {
+    /// Both sizes may come from a peer's HELLO, so a store size that
+    /// overflows `usize` is a typed [`PdmError::Config`].
+    pub fn new_mem(block_bytes: usize, slots: usize) -> Result<Self> {
+        Ok(Worker {
             block_bytes,
             slots,
-            store: ByteStore::Mem(vec![0u8; block_bytes * slots]),
+            store: ByteStore::Mem(vec![0u8; store_bytes(block_bytes, slots)?]),
             staging: vec![0u8; block_bytes],
-        }
+        })
     }
 
     /// A file-backed worker over a preallocated file at `path`
@@ -534,6 +552,7 @@ impl Worker {
     }
 
     fn file_worker(path: &Path, block_bytes: usize, slots: usize, truncate: bool) -> Result<Self> {
+        let len = store_bytes(block_bytes, slots)?;
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -541,7 +560,7 @@ impl Worker {
             .truncate(truncate)
             .open(path)
             .map_err(|e| PdmError::Io(format!("create {}: {e}", path.display())))?;
-        file.set_len((block_bytes * slots) as u64)
+        file.set_len(len as u64)
             .map_err(|e| PdmError::Io(format!("set_len {}: {e}", path.display())))?;
         Ok(Worker {
             block_bytes,
@@ -881,7 +900,7 @@ mod tests {
 
     #[test]
     fn worker_mem_round_trip_and_errors() {
-        let mut w = Worker::new_mem(16, 4);
+        let mut w = Worker::new_mem(16, 4).unwrap();
         assert_eq!(w.block_bytes(), 16);
         assert_eq!(w.slots(), 4);
         let payload: Vec<u8> = (0..16).collect();
@@ -929,9 +948,31 @@ mod tests {
     }
 
     #[test]
+    fn oversized_store_is_a_typed_config_error() {
+        // HELLO-supplied sizes whose product wraps must be refused, not
+        // silently shrunk to a tiny store.
+        for (block_bytes, slots) in [(16, usize::MAX), (usize::MAX, 2)] {
+            assert!(matches!(
+                Worker::new_mem(block_bytes, slots),
+                Err(PdmError::Config(_))
+            ));
+        }
+        let dir = crate::tempdir::TempDir::new("pdm-proto-overflow");
+        let path = dir.path().join("w.bin");
+        assert!(matches!(
+            Worker::new_file(&path, 16, usize::MAX),
+            Err(PdmError::Config(_))
+        ));
+        assert!(matches!(
+            Worker::open_file(&path, 16, usize::MAX),
+            Err(PdmError::Config(_))
+        ));
+    }
+
+    #[test]
     fn worker_file_store_matches_mem() {
         let dir = crate::tempdir::TempDir::new("pdm-proto");
-        let mut mem = Worker::new_mem(8, 3);
+        let mut mem = Worker::new_mem(8, 3).unwrap();
         let mut file = Worker::new_file(&dir.path().join("w.bin"), 8, 3).unwrap();
         let mut req = Vec::new();
         let mut rep_mem = Vec::new();

@@ -25,17 +25,37 @@
 //! How a parallel I/O is physically serviced is orthogonal to how it is
 //! charged; [`ServiceMode`] selects among a serial loop, the legacy
 //! spawn-per-operation threads, and persistent per-disk service threads
-//! ([`crate::parallel::DiskPool`]). In [`ServiceMode::Threaded`] the
-//! system additionally supports *split-phase* operations
+//! ([`crate::parallel::DiskPool`]).
+//!
+//! Transport-backed services (the pool, and lockstep over remote
+//! workers) submit **run commands**: a request's blocks are grouped by
+//! disk and each participating disk receives one command carrying all
+//! of its slots and one pooled multi-block buffer, answered once. The
+//! batched split-phase entry points
+//! [`DiskSystem::begin_read_batches`] /
+//! [`DiskSystem::begin_write_batches`] take a whole memoryload — its
+//! flattened block references plus the batch length — admit and charge
+//! every parallel I/O in order (so governor grants, fault-plan
+//! operation numbers, and the retry ledger are exactly those of
+//! issuing the I/Os one by one), and then submit one command per
+//! participating disk. A memoryload of `M/BD` parallel I/Os thus costs
+//! each disk worker one request and one reply, not `M/BD` of each.
+//! [`DiskSystem::read_memoryload_into`] / [`DiskSystem::write_memoryload`]
+//! take the same path in [`ServiceMode::Threaded`], and the uncounted
+//! staging paths ([`DiskSystem::load_records`],
+//! [`DiskSystem::dump_records`]) send one run per disk per memoryload
+//! on every transport-backed service.
+//!
+//! In [`ServiceMode::Threaded`] the split-phase operations
 //! ([`DiskSystem::begin_read`] / [`DiskSystem::finish_read`] and the
-//! write duals): the operation is validated, charged, and submitted to
-//! the service threads immediately, and the caller collects the data
-//! later — the [`crate::engine::PassEngine`] uses this to overlap disk
-//! transfers with in-memory permutation. Split-phase operations move
-//! data through a pool of reusable block buffers
+//! write duals, of which the `_batches` forms are the general case) are
+//! validated, charged, and submitted immediately, and the caller
+//! collects the data later — the [`crate::engine::PassEngine`] uses this
+//! to overlap disk transfers with in-memory permutation. Split-phase
+//! operations move data through a pool of reusable run buffers
 //! ([`DiskSystem::buffer_pool_stats`]) instead of fresh allocations;
 //! every code path, including fault-injection errors, must return its
-//! blocks to the pool.
+//! buffers to the pool.
 
 use crate::backend::{DiskUnit, FileDisk, MemDisk};
 use crate::config::Geometry;
@@ -97,7 +117,8 @@ pub enum ServiceMode {
     /// [`ServiceMode::Threaded`].
     SpawnPerOp,
     /// Persistent per-disk service threads with asynchronous
-    /// submission; enables the split-phase
+    /// submission, fed one run command per participating disk per
+    /// request; enables the split-phase
     /// [`DiskSystem::begin_read`]/[`DiskSystem::begin_write`] overlap.
     Threaded,
 }
@@ -132,38 +153,6 @@ impl<R: Record> Service<R> {
     }
 }
 
-/// Resolves one read completion: data into `out`, buffer back to the
-/// pool on every path, first error retained.
-fn absorb_read_completion<R: Record>(
-    pool: &mut BlockPool<R>,
-    c: Completion<R>,
-    out: &mut [R],
-    block: usize,
-    first_err: &mut Option<PdmError>,
-) {
-    match c.result {
-        Ok(()) => out[c.idx * block..(c.idx + 1) * block].copy_from_slice(&c.buf),
-        Err(e) if first_err.is_none() => *first_err = Some(e.with_disk(c.disk)),
-        Err(_) => {}
-    }
-    pool.put(c.buf);
-}
-
-/// Resolves one write completion: buffer back to the pool, first error
-/// retained.
-fn absorb_write_completion<R: Record>(
-    pool: &mut BlockPool<R>,
-    c: Completion<R>,
-    first_err: &mut Option<PdmError>,
-) {
-    if let Err(e) = c.result {
-        if first_err.is_none() {
-            *first_err = Some(e.with_disk(c.disk));
-        }
-    }
-    pool.put(c.buf);
-}
-
 /// Pool-accounting snapshot (see [`DiskSystem::buffer_pool_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
@@ -177,37 +166,44 @@ pub struct BufferPoolStats {
     pub allocated: u64,
 }
 
-/// A recycling pool of block-sized record buffers.
-struct BlockPool<R> {
-    block: usize,
+/// A recycling pool of run buffers. Runs differ in length (one disk's
+/// share of a memoryload, or a single block), so a request takes the
+/// smallest free buffer that can hold it and resizes it in place; the
+/// pool allocates only when no free buffer is large enough.
+struct BufferPool<R> {
     free: Vec<Vec<R>>,
     outstanding: usize,
     allocated: u64,
 }
 
-impl<R: Record> BlockPool<R> {
-    fn new(block: usize) -> Self {
-        BlockPool {
-            block,
+impl<R: Record> BufferPool<R> {
+    fn new() -> Self {
+        BufferPool {
             free: Vec::new(),
             outstanding: 0,
             allocated: 0,
         }
     }
 
-    fn take(&mut self) -> Vec<R> {
+    fn take(&mut self, len: usize) -> Vec<R> {
         self.outstanding += 1;
-        match self.free.pop() {
-            Some(buf) => buf,
+        let fit = (0..self.free.len())
+            .filter(|&i| self.free[i].capacity() >= len)
+            .min_by_key(|&i| self.free[i].capacity());
+        match fit {
+            Some(i) => {
+                let mut buf = self.free.swap_remove(i);
+                buf.resize(len, R::default());
+                buf
+            }
             None => {
                 self.allocated += 1;
-                vec![R::default(); self.block]
+                vec![R::default(); len]
             }
         }
     }
 
     fn put(&mut self, buf: Vec<R>) {
-        debug_assert_eq!(buf.len(), self.block, "foreign buffer returned to pool");
         self.outstanding -= 1;
         self.free.push(buf);
     }
@@ -221,31 +217,130 @@ impl<R: Record> BlockPool<R> {
     }
 }
 
+/// One request's block references grouped into one run per disk — the
+/// shape in which transport-backed services submit transfers. Tables
+/// are recycled through the system's free list, so a steady-state
+/// request reuses their storage.
+#[derive(Default)]
+struct RunTable {
+    /// The request, in request order.
+    refs: Vec<BlockRef>,
+    /// Request positions grouped by disk, in request order per disk.
+    order: Vec<usize>,
+    /// `order[start[d]..start[d + 1]]` are disk `d`'s positions.
+    start: Vec<usize>,
+    /// Recovery attempts already spent on each disk's run.
+    attempts: Vec<u32>,
+}
+
+impl RunTable {
+    /// Refills the table with `refs`, every disk of which is `< disks`
+    /// (the request was validated).
+    fn fill(&mut self, refs: &[BlockRef], disks: usize) {
+        self.refs.clear();
+        self.refs.extend_from_slice(refs);
+        // Counting sort by disk: `start` first holds each disk's first
+        // position, is advanced while placing, then shifted back.
+        self.start.clear();
+        self.start.resize(disks + 1, 0);
+        for r in refs {
+            self.start[r.disk + 1] += 1;
+        }
+        for d in 0..disks {
+            self.start[d + 1] += self.start[d];
+        }
+        self.order.clear();
+        self.order.resize(refs.len(), 0);
+        for (i, r) in refs.iter().enumerate() {
+            self.order[self.start[r.disk]] = i;
+            self.start[r.disk] += 1;
+        }
+        for d in (1..disks).rev() {
+            self.start[d] = self.start[d - 1];
+        }
+        self.start[0] = 0;
+        self.attempts.clear();
+        self.attempts.resize(disks, 0);
+    }
+
+    fn disks(&self) -> usize {
+        self.attempts.len()
+    }
+
+    /// Request positions served by `disk`'s run.
+    fn positions(&self, disk: usize) -> &[usize] {
+        &self.order[self.start[disk]..self.start[disk + 1]]
+    }
+
+    /// Disks with a non-empty run.
+    fn participants(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.disks()).filter(|&d| self.start[d + 1] > self.start[d])
+    }
+
+    /// Blocks in the longest run: the most parallel I/Os any one
+    /// command of this request carries.
+    fn longest_run(&self) -> usize {
+        (0..self.disks())
+            .map(|d| self.start[d + 1] - self.start[d])
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// Where a write request's blocks come from, by request position.
+#[derive(Clone, Copy)]
+enum Payload<'a, R> {
+    /// Block `i` is `data[i·B .. (i+1)·B]`.
+    Flat(&'a [R]),
+    /// Block `i` is `writes[i].1`.
+    Pairs(&'a [(BlockRef, &'a [R])]),
+}
+
+impl<'a, R> Payload<'a, R> {
+    fn block(self, i: usize, block: usize) -> &'a [R] {
+        match self {
+            Payload::Flat(data) => &data[i * block..(i + 1) * block],
+            Payload::Pairs(writes) => writes[i].1,
+        }
+    }
+}
+
+/// Run commands in flight for one split-phase ticket.
+struct InFlight<R: Record> {
+    rx: Receiver<Completion<R>>,
+    /// Completion return address, retained so a recovered run can be
+    /// resubmitted to the same drain.
+    tx: Sender<Completion<R>>,
+    /// The request and its per-disk runs.
+    table: RunTable,
+    /// Commands not yet answered.
+    pending: usize,
+}
+
 /// A split-phase parallel read in flight (see
 /// [`DiskSystem::begin_read`]). Must be resolved with
 /// [`DiskSystem::finish_read`] or [`DiskSystem::discard_read`]; simply
 /// dropping the ticket strands its pooled buffers.
 #[must_use = "resolve with finish_read/discard_read or the pooled buffers are stranded"]
 pub struct ReadTicket<R: Record> {
-    /// Completion channel (Threaded mode); `None` when the transfer
-    /// completed synchronously at `begin_read`.
-    rx: Option<Receiver<Completion<R>>>,
-    /// Completion return address, retained so `finish_read` can
-    /// resubmit a recovered command (retry/respawn) to the same drain.
-    tx: Option<Sender<Completion<R>>>,
-    /// The request, retained for recovery resubmission.
-    refs: Vec<BlockRef>,
-    /// Per-command recovery attempts already spent.
-    attempts: Vec<u32>,
-    /// Outstanding completions on `rx`.
-    pending: usize,
-    /// Buffers already filled in request order (synchronous modes).
-    sync: Vec<Vec<R>>,
-    /// Number of requested blocks (one per disk).
+    /// One run command per participating disk (Threaded mode).
+    runs: Option<InFlight<R>>,
+    /// The blocks in request order, already transferred into one
+    /// pooled buffer (synchronous modes).
+    sync: Option<Vec<R>>,
+    /// Number of requested blocks.
     count: usize,
 }
 
 impl<R: Record> ReadTicket<R> {
+    fn done(sync: Option<Vec<R>>, count: usize) -> Self {
+        ReadTicket {
+            runs: None,
+            sync,
+            count,
+        }
+    }
+
     /// Records transferred by this operation.
     pub fn records(&self, block: usize) -> usize {
         self.count * block
@@ -257,14 +352,9 @@ impl<R: Record> ReadTicket<R> {
 /// [`DiskSystem::finish_write`].
 #[must_use = "resolve with finish_write or the staging buffers are stranded"]
 pub struct WriteTicket<R: Record> {
-    rx: Option<Receiver<Completion<R>>>,
-    /// Completion return address for recovery resubmission.
-    tx: Option<Sender<Completion<R>>>,
-    /// The request, retained for recovery resubmission.
-    refs: Vec<BlockRef>,
-    /// Per-command recovery attempts already spent.
-    attempts: Vec<u32>,
-    pending: usize,
+    /// One run command per participating disk (Threaded mode); `None`
+    /// when the transfer completed at `begin_write`.
+    runs: Option<InFlight<R>>,
 }
 
 /// A simulated parallel disk system storing records of type `R`.
@@ -272,7 +362,11 @@ pub struct DiskSystem<R: Record> {
     geom: Geometry,
     layout: Layout,
     service: Service<R>,
-    pool: BlockPool<R>,
+    pool: BufferPool<R>,
+    /// Recycled run tables and command slot lists for the
+    /// transport-backed paths.
+    tables: Vec<RunTable>,
+    slot_lists: Vec<Vec<usize>>,
     portions: usize,
     stats: IoStats,
     faults: FaultPlan,
@@ -303,7 +397,8 @@ pub struct DiskSystem<R: Record> {
     /// Reused duplicate-disk scratch for per-operation validation, so
     /// the admission path allocates nothing in steady state.
     seen_disks: Vec<bool>,
-    /// Reused stripe-reference scratch for [`Self::read_stripe_into`].
+    /// Reused reference scratch for [`Self::read_stripe_into`] and the
+    /// memoryload-granular paths.
     stripe_scratch: Vec<BlockRef>,
 }
 
@@ -317,7 +412,9 @@ impl<R: Record> DiskSystem<R> {
             geom,
             layout: Layout::new(&geom),
             service: Service::Serial(units),
-            pool: BlockPool::new(geom.block()),
+            pool: BufferPool::new(),
+            tables: Vec::new(),
+            slot_lists: Vec::new(),
             portions,
             stats: IoStats::default(),
             faults: FaultPlan::new(),
@@ -344,7 +441,9 @@ impl<R: Record> DiskSystem<R> {
             geom,
             layout: Layout::new(&geom),
             service: Service::Lockstep(pool),
-            pool: BlockPool::new(geom.block()),
+            pool: BufferPool::new(),
+            tables: Vec::new(),
+            slot_lists: Vec::new(),
             portions,
             stats: IoStats::default(),
             faults: FaultPlan::new(),
@@ -662,33 +761,39 @@ impl<R: Record> DiskSystem<R> {
         }
     }
 
-    /// Receives one completion from a transport drain, absorbing
-    /// recoverable failures within policy before handing it back:
+    /// Receives one answered run command, absorbing recoverable
+    /// failures within policy before handing it back:
     ///
-    /// * a `Disconnected` completion with respawn budget revives the
-    ///   link ([`Transport::respawn`]) and resubmits the same command
-    ///   (reads are idempotent; writes are replay-safe because the
-    ///   per-disk link is FIFO and the payload rides in the returned
-    ///   buffer);
-    /// * a completion that outwaits `op_timeout_ms` severs the stuck
-    ///   op's links so every in-flight buffer comes home as
+    /// * a `Disconnected` answer with respawn budget revives the link
+    ///   ([`Transport::respawn`]) and resubmits the whole run — one
+    ///   retry per resubmitted command (reads are idempotent; writes
+    ///   are replay-safe because the per-disk link is FIFO and the
+    ///   payload rides in the returned buffer);
+    /// * an answer that outwaits the per-op budget severs the stuck
+    ///   request's links so every in-flight buffer comes home as
     ///   `Disconnected` — which the respawn arm may then recover, and
     ///   which [`DiskSystem::finalize_err`] otherwise surfaces as
-    ///   [`PdmError::Timeout`].
+    ///   [`PdmError::Timeout`]. A run carries up to
+    ///   [`RunTable::longest_run`] parallel I/Os, so the wait is
+    ///   `op_timeout_ms` times that: a healthy long run never trips
+    ///   it, a stalled one still does.
     ///
-    /// Returns only completions the caller must resolve (data landed,
+    /// Returns only answers the caller must resolve (data landed,
     /// buffer to recycle, or an unrecoverable error).
     fn recv_resolved(
         &mut self,
         rx: &Receiver<Completion<R>>,
         tx: &Sender<Completion<R>>,
-        refs: &[BlockRef],
-        attempts: &mut [u32],
+        table: &mut RunTable,
         is_read: bool,
     ) -> Completion<R> {
+        let budget = self
+            .retry
+            .op_timeout_ms
+            .map(|ms| ms.saturating_mul(table.longest_run() as u64));
         let mut severed = false;
         loop {
-            let c = if let Some(budget) = self.retry.op_timeout_ms {
+            let c = if let Some(budget) = budget {
                 loop {
                     match rx.recv_timeout(Duration::from_millis(budget)) {
                         Ok(c) => break c,
@@ -697,12 +802,12 @@ impl<R: Record> DiskSystem<R> {
                                 severed = true;
                                 self.retry_stats.timeouts += 1;
                                 self.timeout_fired = Some(budget);
-                                // Sever the whole op: stuck links
+                                // Sever the whole request: stuck links
                                 // answer their in-flight commands with
                                 // `Disconnected`, bringing the buffers
                                 // home.
-                                for r in refs {
-                                    self.sever_disk(r.disk);
+                                for disk in table.participants() {
+                                    self.sever_disk(disk);
                                 }
                             }
                         }
@@ -716,33 +821,44 @@ impl<R: Record> DiskSystem<R> {
             };
             let recoverable = matches!(c.result, Err(PdmError::Disconnected { .. }))
                 && self.retry.respawn
-                && attempts[c.idx] + 1 < self.retry.max_attempts;
+                && table.attempts[c.idx] + 1 < self.retry.max_attempts;
             if recoverable {
                 if let Ok(revived) = self.respawn_disk(c.disk) {
-                    attempts[c.idx] += 1;
+                    table.attempts[c.idx] += 1;
                     self.retry_stats.retries += 1;
                     self.retry_stats.attempts += 1;
                     self.retry_stats.respawns += revived as u64;
-                    let backoff = self.retry.backoff_ms(attempts[c.idx]);
+                    let backoff = self.retry.backoff_ms(table.attempts[c.idx]);
                     if backoff > 0 {
                         self.retry_stats.backoff_ms += backoff;
                         std::thread::sleep(Duration::from_millis(backoff));
                         self.charge_stall_ms(backoff as f64);
                     }
-                    let Completion { idx, disk, buf, .. } = c;
+                    let Completion {
+                        idx,
+                        disk,
+                        buf,
+                        mut slots,
+                        ..
+                    } = c;
+                    // The returned slot list may have been rebased by
+                    // the transport; rebuild it from the request.
+                    slots.clear();
+                    slots.extend(table.positions(idx).iter().map(|&i| table.refs[i].slot));
+                    let done = tx.clone();
                     let cmd = if is_read {
                         Cmd::Read {
-                            slot: refs[idx].slot,
+                            slots,
                             buf,
                             idx,
-                            done: tx.clone(),
+                            done,
                         }
                     } else {
                         Cmd::Write {
-                            slot: refs[idx].slot,
+                            slots,
                             buf,
                             idx,
-                            done: tx.clone(),
+                            done,
                         }
                     };
                     self.submit_cmd(disk, cmd);
@@ -766,6 +882,221 @@ impl<R: Record> DiskSystem<R> {
             },
             (_, e) => e,
         }
+    }
+
+    /// A recycled run table holding `refs`.
+    fn take_table(&mut self, refs: &[BlockRef]) -> RunTable {
+        let mut table = self.tables.pop().unwrap_or_default();
+        table.fill(refs, self.geom.disks());
+        table
+    }
+
+    /// Builds `disk`'s run command for `table`: its slots in request
+    /// order and one pooled buffer, staged from `payload` for writes.
+    fn run_cmd(
+        &mut self,
+        table: &RunTable,
+        disk: usize,
+        payload: Option<Payload<'_, R>>,
+        done: &Sender<Completion<R>>,
+    ) -> Cmd<R> {
+        let block = self.geom.block();
+        let positions = table.positions(disk);
+        let mut slots = self.slot_lists.pop().unwrap_or_default();
+        slots.clear();
+        slots.extend(positions.iter().map(|&i| table.refs[i].slot));
+        let mut buf = self.pool.take(positions.len() * block);
+        let done = done.clone();
+        match payload {
+            None => Cmd::Read {
+                slots,
+                buf,
+                idx: disk,
+                done,
+            },
+            Some(payload) => {
+                for (chunk, &i) in buf.chunks_exact_mut(block).zip(positions) {
+                    chunk.copy_from_slice(payload.block(i, block));
+                }
+                Cmd::Write {
+                    slots,
+                    buf,
+                    idx: disk,
+                    done,
+                }
+            }
+        }
+    }
+
+    /// Submits one run command per participating disk of `table`,
+    /// returning how many were submitted.
+    fn submit_runs(
+        &mut self,
+        table: &RunTable,
+        payload: Option<Payload<'_, R>>,
+        done: &Sender<Completion<R>>,
+    ) -> usize {
+        let mut submitted = 0;
+        for disk in table.participants() {
+            let cmd = self.run_cmd(table, disk, payload, done);
+            self.submit_cmd(disk, cmd);
+            submitted += 1;
+        }
+        submitted
+    }
+
+    /// Resolves one answered run: read data lands in `out` (request
+    /// order), the buffer and slot list are recycled on every path, and
+    /// the first error is kept.
+    fn absorb(
+        &mut self,
+        table: &RunTable,
+        c: Completion<R>,
+        out: Option<&mut [R]>,
+        first_err: &mut Option<PdmError>,
+    ) {
+        match c.result {
+            Ok(()) => {
+                if let Some(out) = out {
+                    let block = self.geom.block();
+                    for (chunk, &i) in c.buf.chunks_exact(block).zip(table.positions(c.idx)) {
+                        out[i * block..(i + 1) * block].copy_from_slice(chunk);
+                    }
+                }
+            }
+            Err(e) if first_err.is_none() => *first_err = Some(e.with_disk(c.disk)),
+            Err(_) => {}
+        }
+        self.pool.put(c.buf);
+        self.slot_lists.push(c.slots);
+    }
+
+    /// Takes one answer off a drain: through the recovery layer for
+    /// counted operations, as it comes for uncounted ones and abort
+    /// paths.
+    fn answer(
+        &mut self,
+        rx: &Receiver<Completion<R>>,
+        tx: &Sender<Completion<R>>,
+        table: &mut RunTable,
+        is_read: bool,
+        recover: bool,
+    ) -> Completion<R> {
+        if recover {
+            self.recv_resolved(rx, tx, table, is_read)
+        } else {
+            rx.recv().expect("disk service thread hung up")
+        }
+    }
+
+    /// Collects every outstanding answer of a split-phase ticket.
+    fn drain(
+        &mut self,
+        runs: &mut InFlight<R>,
+        is_read: bool,
+        mut out: Option<&mut [R]>,
+        recover: bool,
+    ) -> Option<PdmError> {
+        let mut first_err = None;
+        while runs.pending > 0 {
+            let c = self.answer(&runs.rx, &runs.tx, &mut runs.table, is_read, recover);
+            runs.pending -= 1;
+            self.absorb(&runs.table, c, out.as_deref_mut(), &mut first_err);
+        }
+        first_err
+    }
+
+    /// Moves `table`'s blocks through the transport pool and waits for
+    /// them: one run command per participating disk, all in flight at
+    /// once in the pipelined pool, one at a time in lockstep. `payload`
+    /// makes it a write; a read lands in `out` (or is discarded).
+    fn transfer(
+        &mut self,
+        table: &mut RunTable,
+        payload: Option<Payload<'_, R>>,
+        mut out: Option<&mut [R]>,
+        recover: bool,
+    ) -> Option<PdmError> {
+        let lockstep = matches!(self.service, Service::Lockstep(_));
+        let is_read = payload.is_none();
+        let (tx, rx) = channel();
+        let mut first_err = None;
+        let mut pending = 0;
+        for disk in 0..table.disks() {
+            if table.positions(disk).is_empty() {
+                continue;
+            }
+            let cmd = self.run_cmd(table, disk, payload, &tx);
+            self.submit_cmd(disk, cmd);
+            pending += 1;
+            if lockstep {
+                // Serial discipline: one command in flight.
+                let c = self.answer(&rx, &tx, table, is_read, recover);
+                pending -= 1;
+                self.absorb(table, c, out.as_deref_mut(), &mut first_err);
+            }
+        }
+        for _ in 0..pending {
+            let c = self.answer(&rx, &tx, table, is_read, recover);
+            self.absorb(table, c, out.as_deref_mut(), &mut first_err);
+        }
+        first_err
+    }
+
+    /// [`Self::transfer`] of `refs` for an operation whose outcome is
+    /// surfaced now: recycles the table, collects network time, and
+    /// classifies the error.
+    fn transfer_refs(
+        &mut self,
+        refs: &[BlockRef],
+        payload: Option<Payload<'_, R>>,
+        out: Option<&mut [R]>,
+        recover: bool,
+    ) -> Result<()> {
+        let mut table = self.take_table(refs);
+        let err = self.transfer(&mut table, payload, out, recover);
+        self.tables.push(table);
+        self.absorb_network_time();
+        match err {
+            Some(e) => Err(self.finalize_err(e)),
+            None => {
+                self.timeout_fired = None;
+                Ok(())
+            }
+        }
+    }
+
+    /// Admits and charges the parallel I/Os `refs[k·len .. (k+1)·len]`
+    /// in order, stopping at the first refusal. Returns the number of
+    /// blocks admitted (the charged prefix) and the refusal, if any.
+    fn admit_batches(
+        &mut self,
+        refs: &[BlockRef],
+        batch_len: usize,
+        is_read: bool,
+    ) -> (usize, Result<()>) {
+        for (k, batch) in refs.chunks(batch_len).enumerate() {
+            if let Err(e) = self.admit(batch, is_read) {
+                return (k * batch_len, Err(e));
+            }
+            self.charge(batch, is_read);
+        }
+        (refs.len(), Ok(()))
+    }
+
+    /// Runs the charged prefix of a request whose admission was refused
+    /// part-way — so charged equals executed — then returns the
+    /// refusal.
+    fn run_prefix_then_fail<T>(
+        &mut self,
+        prefix: &[BlockRef],
+        payload: Option<Payload<'_, R>>,
+        refusal: PdmError,
+    ) -> Result<T> {
+        if !prefix.is_empty() {
+            let _ = self.transfer_refs(prefix, payload, None, true);
+        }
+        Err(refusal)
     }
 
     fn validate(&mut self, refs: impl Iterator<Item = BlockRef>) -> Result<()> {
@@ -808,11 +1139,13 @@ impl<R: Record> DiskSystem<R> {
         }
         let op = self.op_counter;
         self.op_counter += 1;
-        self.retry_stats.attempts += 1;
         if let Some(disk) = self.faults.check(op, refs.iter().map(|r| r.disk)) {
-            // Permanent: fail fast on every attempt, never retried.
+            // Permanent: refused before any attempt, never retried —
+            // so `attempts == parallel_ios + retries` holds on this
+            // error path too.
             return Err(PdmError::Fault { op, disk });
         }
+        self.retry_stats.attempts += 1;
         if let Some(disk) = self.faults.check_transient(op, refs.iter().map(|r| r.disk)) {
             // Transient (point or flaky window): the first attempt
             // fails; within policy the retry absorbs it and the
@@ -885,6 +1218,35 @@ impl<R: Record> DiskSystem<R> {
         }
     }
 
+    /// Reads `refs` straight from locally hosted units into `out`
+    /// (block `i` at `out[i·B ..]`), one unit call per block.
+    fn units_read(&mut self, refs: &[BlockRef], out: &mut [R]) -> Result<()> {
+        let block = self.geom.block();
+        let (Service::Serial(units) | Service::SpawnPerOp(units)) = &mut self.service else {
+            unreachable!("units_read on a transport-backed service")
+        };
+        for (r, chunk) in refs.iter().zip(out.chunks_exact_mut(block)) {
+            units[r.disk]
+                .read(r.slot, chunk)
+                .map_err(|e| e.with_disk(r.disk))?;
+        }
+        Ok(())
+    }
+
+    /// Writes `refs` straight to locally hosted units from `payload`.
+    fn units_write(&mut self, refs: &[BlockRef], payload: Payload<'_, R>) -> Result<()> {
+        let block = self.geom.block();
+        let (Service::Serial(units) | Service::SpawnPerOp(units)) = &mut self.service else {
+            unreachable!("units_write on a transport-backed service")
+        };
+        for (i, r) in refs.iter().enumerate() {
+            units[r.disk]
+                .write(r.slot, payload.block(i, block))
+                .map_err(|e| e.with_disk(r.disk))?;
+        }
+        Ok(())
+    }
+
     /// One parallel read into a contiguous buffer: fetches each
     /// requested block (at most one per disk) into
     /// `out[i*B .. (i+1)*B]` in request order, with no allocation on
@@ -904,58 +1266,16 @@ impl<R: Record> DiskSystem<R> {
         );
         self.admit(refs, true)?;
         match &mut self.service {
-            Service::Serial(units) => {
-                for (r, chunk) in refs.iter().zip(out.chunks_exact_mut(block)) {
-                    units[r.disk]
-                        .read(r.slot, chunk)
-                        .map_err(|e| e.with_disk(r.disk))?;
-                }
-            }
+            Service::Serial(_) => self.units_read(refs, out)?,
             Service::SpawnPerOp(units) => {
                 let reqs: Vec<(usize, usize)> = refs.iter().map(|r| (r.disk, r.slot)).collect();
                 threaded_read(units, &reqs, out.chunks_exact_mut(block).collect())?;
             }
             Service::Pooled(_) | Service::Lockstep(_) => {
-                let lockstep = matches!(self.service, Service::Lockstep(_));
-                let (tx, rx) = channel();
-                let mut first_err = None;
-                let mut attempts = vec![0u32; refs.len()];
-                let mut pending = 0;
-                for (idx, r) in refs.iter().enumerate() {
-                    let buf = self.pool.take();
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Read {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    pending += 1;
-                    if lockstep {
-                        // Serial discipline: one command in flight.
-                        let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, true);
-                        absorb_read_completion(&mut self.pool, c, out, block, &mut first_err);
-                        pending -= 1;
-                    }
-                }
-                for _ in 0..pending {
-                    let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, true);
-                    // Pool hygiene: the buffer comes back on every path.
-                    absorb_read_completion(&mut self.pool, c, out, block, &mut first_err);
-                }
-                drop(tx);
-                if let Some(e) = first_err {
-                    let e = self.finalize_err(e);
-                    self.absorb_network_time();
-                    return Err(e);
-                }
-                self.timeout_fired = None;
+                self.transfer_refs(refs, None, Some(out), true)?;
             }
         }
         self.charge(refs, true);
-        self.absorb_network_time();
         Ok(())
     }
 
@@ -990,14 +1310,9 @@ impl<R: Record> DiskSystem<R> {
         }
         let refs: Vec<BlockRef> = writes.iter().map(|(r, _)| *r).collect();
         self.admit(&refs, false)?;
+        let payload = Payload::Pairs(writes);
         match &mut self.service {
-            Service::Serial(units) => {
-                for (r, data) in writes {
-                    units[r.disk]
-                        .write(r.slot, data)
-                        .map_err(|e| e.with_disk(r.disk))?;
-                }
-            }
+            Service::Serial(_) => self.units_write(&refs, payload)?,
             Service::SpawnPerOp(units) => {
                 let reqs: Vec<(usize, usize, &[R])> = writes
                     .iter()
@@ -1006,45 +1321,10 @@ impl<R: Record> DiskSystem<R> {
                 threaded_write(units, &reqs)?;
             }
             Service::Pooled(_) | Service::Lockstep(_) => {
-                let lockstep = matches!(self.service, Service::Lockstep(_));
-                let (tx, rx) = channel();
-                let mut first_err = None;
-                let mut attempts = vec![0u32; refs.len()];
-                let mut pending = 0;
-                for (idx, (r, data)) in writes.iter().enumerate() {
-                    let mut buf = self.pool.take();
-                    buf.copy_from_slice(data);
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Write {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    pending += 1;
-                    if lockstep {
-                        let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, false);
-                        absorb_write_completion(&mut self.pool, c, &mut first_err);
-                        pending -= 1;
-                    }
-                }
-                for _ in 0..pending {
-                    let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, false);
-                    absorb_write_completion(&mut self.pool, c, &mut first_err);
-                }
-                drop(tx);
-                if let Some(e) = first_err {
-                    let e = self.finalize_err(e);
-                    self.absorb_network_time();
-                    return Err(e);
-                }
-                self.timeout_fired = None;
+                self.transfer_refs(&refs, Some(payload), None, true)?;
             }
         }
         self.charge(&refs, false);
-        self.absorb_network_time();
         Ok(())
     }
 
@@ -1070,128 +1350,93 @@ impl<R: Record> DiskSystem<R> {
     /// charged at submission: a transfer that later fails has still
     /// been issued against the model.
     pub fn begin_read(&mut self, refs: &[BlockRef]) -> Result<ReadTicket<R>> {
-        let block = self.geom.block();
-        if refs.is_empty() {
-            return Ok(ReadTicket {
-                rx: None,
-                tx: None,
-                refs: Vec::new(),
-                attempts: Vec::new(),
-                pending: 0,
-                sync: Vec::new(),
-                count: 0,
-            });
-        }
-        self.admit(refs, true)?;
-        self.charge(refs, true);
+        self.begin_read_batches(refs, refs.len())
+    }
+
+    /// Begins a batch of parallel reads as one split-phase operation —
+    /// the engine's one-memoryload-at-a-time read. `refs` is the
+    /// flattened request: batch `k`, `refs[k·batch_len ..
+    /// (k+1)·batch_len]`, is one parallel I/O (at most one block per
+    /// disk), and block `i` lands at `out[i·B ..]` of
+    /// [`DiskSystem::finish_read`].
+    ///
+    /// Every batch is admitted and charged in order exactly as `begin_read`
+    /// would admit it alone, so governor grants, fault-plan operation
+    /// numbers, and the retry ledger do not depend on the batching.
+    /// Only then is the transfer submitted: in
+    /// [`ServiceMode::Threaded`] as **one run command per participating
+    /// disk**, in the synchronous modes completed before this returns.
+    /// If admission refuses a batch part-way, the already-charged
+    /// prefix is still executed (its data discarded) before the error
+    /// is returned, so charged equals executed.
+    pub fn begin_read_batches(
+        &mut self,
+        refs: &[BlockRef],
+        batch_len: usize,
+    ) -> Result<ReadTicket<R>> {
         let count = refs.len();
-        match &mut self.service {
-            Service::Pooled(_) => {
-                let (tx, rx) = channel();
-                for (idx, r) in refs.iter().enumerate() {
-                    let buf = self.pool.take();
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Read {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                }
-                self.absorb_network_time();
-                Ok(ReadTicket {
-                    rx: Some(rx),
-                    tx: Some(tx),
-                    refs: refs.to_vec(),
-                    attempts: vec![0; refs.len()],
-                    pending: refs.len(),
-                    sync: Vec::new(),
-                    count,
-                })
-            }
-            Service::Lockstep(_) => {
-                // Serial discipline over the transport: each block's
-                // completion is collected before the next submission;
-                // `finish_read` just copies out of the filled buffers.
-                let (tx, rx) = channel();
-                let mut attempts = vec![0u32; refs.len()];
-                let mut sync = Vec::with_capacity(refs.len());
-                let mut first_err = None;
-                for (idx, r) in refs.iter().enumerate() {
-                    let buf = self.pool.take();
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Read {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, true);
-                    match c.result {
-                        Ok(()) => sync.push(c.buf),
-                        Err(e) => {
-                            // Pool hygiene on the error path.
-                            self.pool.put(c.buf);
-                            if first_err.is_none() {
-                                first_err = Some(e.with_disk(c.disk));
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = first_err {
-                    for b in sync {
-                        self.pool.put(b);
-                    }
-                    let e = self.finalize_err(e);
-                    self.absorb_network_time();
-                    return Err(e);
-                }
-                self.timeout_fired = None;
-                self.absorb_network_time();
-                Ok(ReadTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                    sync,
-                    count,
-                })
-            }
-            Service::Serial(units) | Service::SpawnPerOp(units) => {
-                // Synchronous fallback: transfer now into pooled
-                // buffers; `finish_read` just copies out.
-                let mut sync = Vec::with_capacity(refs.len());
-                for r in refs {
-                    let mut buf = self.pool.take();
-                    match units[r.disk].read(r.slot, &mut buf) {
-                        Ok(()) => sync.push(buf),
-                        Err(e) => {
-                            // Pool hygiene on the error path.
-                            self.pool.put(buf);
-                            for b in sync {
-                                self.pool.put(b);
-                            }
-                            return Err(e.with_disk(r.disk));
-                        }
-                    }
-                }
-                debug_assert_eq!(block, sync[0].len());
-                Ok(ReadTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                    sync,
-                    count,
-                })
-            }
+        if count == 0 {
+            return Ok(ReadTicket::done(None, 0));
         }
+        assert!(
+            batch_len > 0 && count.is_multiple_of(batch_len),
+            "ragged batches: {count} blocks in batches of {batch_len}"
+        );
+        let block = self.geom.block();
+        if let Service::Serial(_) | Service::SpawnPerOp(_) = self.service {
+            // Synchronous: each parallel I/O is admitted, charged, and
+            // transferred in turn into one pooled buffer;
+            // `finish_read` just copies out.
+            let mut buf = self.pool.take(count * block);
+            let mut result = Ok(());
+            for (k, batch) in refs.chunks(batch_len).enumerate() {
+                let out = &mut buf[k * batch_len * block..(k + 1) * batch_len * block];
+                result = self.admit(batch, true).and_then(|()| {
+                    self.charge(batch, true);
+                    self.units_read(batch, out)
+                });
+                if result.is_err() {
+                    break;
+                }
+            }
+            return match result {
+                Ok(()) => Ok(ReadTicket::done(Some(buf), count)),
+                Err(e) => {
+                    self.pool.put(buf);
+                    Err(e)
+                }
+            };
+        }
+        let (admitted, refusal) = self.admit_batches(refs, batch_len, true);
+        if let Err(e) = refusal {
+            return self.run_prefix_then_fail(&refs[..admitted], None, e);
+        }
+        if let Service::Lockstep(_) = self.service {
+            // Serial discipline over the transport: the runs complete
+            // one by one now; `finish_read` just copies out.
+            let mut buf = self.pool.take(count * block);
+            return match self.transfer_refs(refs, None, Some(&mut buf), true) {
+                Ok(()) => Ok(ReadTicket::done(Some(buf), count)),
+                Err(e) => {
+                    self.pool.put(buf);
+                    Err(e)
+                }
+            };
+        }
+        let table = self.take_table(refs);
+        let (tx, rx) = channel();
+        let pending = self.submit_runs(&table, None, &tx);
+        self.absorb_network_time();
+        Ok(ReadTicket {
+            runs: Some(InFlight {
+                rx,
+                tx,
+                table,
+                pending,
+            }),
+            sync: None,
+            count,
+        })
     }
 
     /// Begins a split-phase read of a single block (see
@@ -1205,43 +1450,23 @@ impl<R: Record> DiskSystem<R> {
     /// into `out[i*B .. (i+1)*B]` and recycling the transfer buffers.
     /// On error every buffer is still reclaimed.
     pub fn finish_read(&mut self, ticket: ReadTicket<R>, out: &mut [R]) -> Result<()> {
-        let block = self.geom.block();
         assert_eq!(
             out.len(),
-            ticket.count * block,
+            ticket.records(self.geom.block()),
             "finish_read requires {} records of output space",
-            ticket.count * block
+            ticket.records(self.geom.block())
         );
-        let ReadTicket {
-            rx,
-            tx,
-            refs,
-            mut attempts,
-            pending,
-            sync,
-            ..
-        } = ticket;
-        let mut first_err = None;
-        if let Some(rx) = rx {
-            let tx = tx.expect("pipelined ticket retains its sender");
-            for _ in 0..pending {
-                let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, true);
-                match c.result {
-                    Ok(()) => out[c.idx * block..(c.idx + 1) * block].copy_from_slice(&c.buf),
-                    Err(e) if first_err.is_none() => {
-                        first_err = Some(e.with_disk(c.disk));
-                    }
-                    Err(_) => {}
-                }
-                self.pool.put(c.buf);
-            }
-        } else {
-            for (i, buf) in sync.into_iter().enumerate() {
-                out[i * block..(i + 1) * block].copy_from_slice(&buf);
-                self.pool.put(buf);
-            }
+        let ReadTicket { runs, sync, .. } = ticket;
+        if let Some(buf) = sync {
+            out.copy_from_slice(&buf);
+            self.pool.put(buf);
         }
-        match first_err {
+        let Some(mut runs) = runs else {
+            return Ok(());
+        };
+        let err = self.drain(&mut runs, true, Some(out), true);
+        self.tables.push(runs.table);
+        match err {
             Some(e) => Err(self.finalize_err(e)),
             None => {
                 self.timeout_fired = None;
@@ -1254,19 +1479,14 @@ impl<R: Record> DiskSystem<R> {
     /// transfers, discards the data, and reclaims every buffer.
     pub fn discard_read(&mut self, ticket: ReadTicket<R>) {
         // No recovery on the abort path: the data is unwanted, so a
-        // failed completion just recycles its buffer.
-        let ReadTicket {
-            rx, pending, sync, ..
-        } = ticket;
-        if let Some(rx) = rx {
-            for _ in 0..pending {
-                let c = rx.recv().expect("disk service thread hung up");
-                self.pool.put(c.buf);
-            }
-        } else {
-            for buf in sync {
-                self.pool.put(buf);
-            }
+        // failed answer just recycles its buffer.
+        let ReadTicket { runs, sync, .. } = ticket;
+        if let Some(buf) = sync {
+            self.pool.put(buf);
+        }
+        if let Some(mut runs) = runs {
+            self.drain(&mut runs, true, None, false);
+            self.tables.push(runs.table);
         }
     }
 
@@ -1276,139 +1496,87 @@ impl<R: Record> DiskSystem<R> {
     /// this returns. Charged at submission; resolve with
     /// [`DiskSystem::finish_write`].
     pub fn begin_write(&mut self, refs: &[BlockRef], data: &[R]) -> Result<WriteTicket<R>> {
-        let block = self.geom.block();
+        self.begin_write_batches(refs, refs.len(), data)
+    }
+
+    /// Begins a batch of parallel writes as one split-phase operation —
+    /// the write dual of [`DiskSystem::begin_read_batches`]: batch `k`
+    /// of the flattened `refs` is one parallel I/O, block `i` comes
+    /// from `data[i·B ..]`, every batch is admitted and charged in
+    /// order, and the transfer goes out as one run command per
+    /// participating disk. A part-way admission refusal still writes
+    /// the charged prefix before the error is returned.
+    pub fn begin_write_batches(
+        &mut self,
+        refs: &[BlockRef],
+        batch_len: usize,
+        data: &[R],
+    ) -> Result<WriteTicket<R>> {
         if refs.is_empty() {
-            return Ok(WriteTicket {
-                rx: None,
-                tx: None,
-                refs: Vec::new(),
-                attempts: Vec::new(),
-                pending: 0,
-            });
+            return Ok(WriteTicket { runs: None });
         }
+        let block = self.geom.block();
+        assert!(
+            batch_len > 0 && refs.len().is_multiple_of(batch_len),
+            "ragged batches: {} blocks in batches of {batch_len}",
+            refs.len()
+        );
         assert_eq!(
             data.len(),
             refs.len() * block,
             "begin_write requires {} records of data",
             refs.len() * block
         );
-        self.admit(refs, false)?;
-        self.charge(refs, false);
-        match &mut self.service {
-            Service::Pooled(_) => {
-                let (tx, rx) = channel();
-                for (idx, r) in refs.iter().enumerate() {
-                    let mut buf = self.pool.take();
-                    buf.copy_from_slice(&data[idx * block..(idx + 1) * block]);
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Write {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                }
-                self.absorb_network_time();
-                Ok(WriteTicket {
-                    rx: Some(rx),
-                    tx: Some(tx),
-                    refs: refs.to_vec(),
-                    attempts: vec![0; refs.len()],
-                    pending: refs.len(),
-                })
-            }
-            Service::Lockstep(_) => {
-                let (tx, rx) = channel();
-                let mut attempts = vec![0u32; refs.len()];
-                let mut first_err = None;
-                for (idx, r) in refs.iter().enumerate() {
-                    let mut buf = self.pool.take();
-                    buf.copy_from_slice(&data[idx * block..(idx + 1) * block]);
-                    self.submit_cmd(
-                        r.disk,
-                        Cmd::Write {
-                            slot: r.slot,
-                            buf,
-                            idx,
-                            done: tx.clone(),
-                        },
-                    );
-                    let c = self.recv_resolved(&rx, &tx, refs, &mut attempts, false);
-                    absorb_write_completion(&mut self.pool, c, &mut first_err);
-                }
-                self.absorb_network_time();
-                match first_err {
-                    Some(e) => Err(self.finalize_err(e)),
-                    None => {
-                        self.timeout_fired = None;
-                        Ok(WriteTicket {
-                            rx: None,
-                            tx: None,
-                            refs: Vec::new(),
-                            attempts: Vec::new(),
-                            pending: 0,
-                        })
+        let payload = Payload::Flat(data);
+        if let Service::Serial(_) | Service::SpawnPerOp(_) = self.service {
+            for (batch, data) in refs.chunks(batch_len).zip(data.chunks(batch_len * block)) {
+                self.admit(batch, false)?;
+                self.charge(batch, false);
+                match &mut self.service {
+                    Service::SpawnPerOp(units) => {
+                        let reqs: Vec<(usize, usize, &[R])> = batch
+                            .iter()
+                            .zip(data.chunks_exact(block))
+                            .map(|(r, chunk)| (r.disk, r.slot, chunk))
+                            .collect();
+                        threaded_write(units, &reqs)?;
                     }
+                    _ => self.units_write(batch, Payload::Flat(data))?,
                 }
             }
-            Service::Serial(units) => {
-                for (i, r) in refs.iter().enumerate() {
-                    units[r.disk]
-                        .write(r.slot, &data[i * block..(i + 1) * block])
-                        .map_err(|e| e.with_disk(r.disk))?;
-                }
-                Ok(WriteTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                })
-            }
-            Service::SpawnPerOp(units) => {
-                let reqs: Vec<(usize, usize, &[R])> = refs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.disk, r.slot, &data[i * block..(i + 1) * block]))
-                    .collect();
-                threaded_write(units, &reqs)?;
-                Ok(WriteTicket {
-                    rx: None,
-                    tx: None,
-                    refs: Vec::new(),
-                    attempts: Vec::new(),
-                    pending: 0,
-                })
-            }
+            return Ok(WriteTicket { runs: None });
         }
+        let (admitted, refusal) = self.admit_batches(refs, batch_len, false);
+        if let Err(e) = refusal {
+            return self.run_prefix_then_fail(&refs[..admitted], Some(payload), e);
+        }
+        if let Service::Lockstep(_) = self.service {
+            self.transfer_refs(refs, Some(payload), None, true)?;
+            return Ok(WriteTicket { runs: None });
+        }
+        let table = self.take_table(refs);
+        let (tx, rx) = channel();
+        let pending = self.submit_runs(&table, Some(payload), &tx);
+        self.absorb_network_time();
+        Ok(WriteTicket {
+            runs: Some(InFlight {
+                rx,
+                tx,
+                table,
+                pending,
+            }),
+        })
     }
 
     /// Completes a split-phase write, reclaiming the staging buffers
     /// and surfacing any transfer error.
     pub fn finish_write(&mut self, ticket: WriteTicket<R>) -> Result<()> {
-        let WriteTicket {
-            rx,
-            tx,
-            refs,
-            mut attempts,
-            pending,
-        } = ticket;
-        let mut first_err = None;
-        if let Some(rx) = rx {
-            let tx = tx.expect("pipelined ticket retains its sender");
-            for _ in 0..pending {
-                let c = self.recv_resolved(&rx, &tx, &refs, &mut attempts, false);
-                if let Err(e) = c.result {
-                    if first_err.is_none() {
-                        first_err = Some(e.with_disk(c.disk));
-                    }
-                }
-                self.pool.put(c.buf);
-            }
-        }
-        match first_err {
+        let Some(mut runs) = ticket.runs else {
+            return Ok(());
+        };
+        let err = self.drain(&mut runs, false, None, true);
+        self.tables.push(runs.table);
+        match err {
             Some(e) => Err(self.finalize_err(e)),
             None => {
                 self.timeout_fired = None;
@@ -1467,9 +1635,22 @@ impl<R: Record> DiskSystem<R> {
         self.write_blocks(&writes)
     }
 
+    /// The references of memoryload `ml` of a portion in address order
+    /// — stripe by stripe, disk by disk — into `refs`. Every `D`
+    /// consecutive references are one striped parallel I/O.
+    pub(crate) fn memoryload_refs(&self, portion: usize, ml: usize, refs: &mut Vec<BlockRef>) {
+        let spm = self.geom.stripes_per_memoryload();
+        let base = self.portion_base(portion) + ml * spm;
+        refs.clear();
+        for slot in base..base + spm {
+            refs.extend((0..self.geom.disks()).map(|disk| BlockRef { disk, slot }));
+        }
+    }
+
     /// Reads memoryload `ml` of a portion into `out` (`M` records in
     /// address order) with `M/BD` striped reads and no per-block
-    /// allocation.
+    /// allocation. In [`ServiceMode::Threaded`] the whole memoryload
+    /// goes out as one run command per disk.
     pub fn read_memoryload_into(&mut self, portion: usize, ml: usize, out: &mut [R]) -> Result<()> {
         assert_eq!(
             out.len(),
@@ -1477,13 +1658,20 @@ impl<R: Record> DiskSystem<R> {
             "read_memoryload_into requires a full memoryload of {} records",
             self.geom.memory()
         );
-        let spm = self.geom.stripes_per_memoryload();
+        if let Service::Pooled(_) = self.service {
+            let mut refs = std::mem::take(&mut self.stripe_scratch);
+            self.memoryload_refs(portion, ml, &mut refs);
+            let result = self
+                .begin_read_batches(&refs, self.geom.disks())
+                .and_then(|t| self.finish_read(t, out));
+            self.stripe_scratch = refs;
+            return result;
+        }
         let stripe_len = self.geom.block() * self.geom.disks();
-        let base = self.portion_base(portion) + ml * spm;
+        let base = self.portion_base(portion) + ml * self.geom.stripes_per_memoryload();
         for (t, chunk) in out.chunks_exact_mut(stripe_len).enumerate() {
             self.read_stripe_into(base + t, chunk)?;
         }
-        debug_assert_eq!(spm * stripe_len, self.geom.memory());
         Ok(())
     }
 
@@ -1497,7 +1685,8 @@ impl<R: Record> DiskSystem<R> {
     }
 
     /// Writes `M` records (address order) to memoryload `ml` of a
-    /// portion with `M/BD` striped writes.
+    /// portion with `M/BD` striped writes — in
+    /// [`ServiceMode::Threaded`] as one run command per disk.
     pub fn write_memoryload(&mut self, portion: usize, ml: usize, data: &[R]) -> Result<()> {
         assert_eq!(
             data.len(),
@@ -1505,9 +1694,17 @@ impl<R: Record> DiskSystem<R> {
             "write_memoryload requires a full memoryload of {} records",
             self.geom.memory()
         );
-        let spm = self.geom.stripes_per_memoryload();
+        if let Service::Pooled(_) = self.service {
+            let mut refs = std::mem::take(&mut self.stripe_scratch);
+            self.memoryload_refs(portion, ml, &mut refs);
+            let result = self
+                .begin_write_batches(&refs, self.geom.disks(), data)
+                .and_then(|t| self.finish_write(t));
+            self.stripe_scratch = refs;
+            return result;
+        }
         let stripe_len = self.geom.block() * self.geom.disks();
-        let base = self.portion_base(portion) + ml * spm;
+        let base = self.portion_base(portion) + ml * self.geom.stripes_per_memoryload();
         for (t, chunk) in data.chunks_exact(stripe_len).enumerate() {
             self.write_stripe(base + t, chunk)?;
         }
@@ -1517,59 +1714,22 @@ impl<R: Record> DiskSystem<R> {
     // ------------------------------------------------------------------
     // Uncounted direct access (setup / verification / observation).
 
-    /// Reads one block directly, bypassing the model (no I/O charged).
-    fn unit_read(&mut self, disk: usize, slot: usize, out: &mut [R]) -> Result<()> {
-        match &mut self.service {
-            Service::Serial(units) | Service::SpawnPerOp(units) => {
-                units[disk].read(slot, out).map_err(|e| e.with_disk(disk))
+    /// Moves `refs` directly, bypassing the model (no I/O charged, no
+    /// recovery): a write when `payload` is set, else a read into
+    /// `out`. Transport-backed services send one run per disk.
+    fn uncounted(
+        &mut self,
+        refs: &[BlockRef],
+        payload: Option<Payload<'_, R>>,
+        out: Option<&mut [R]>,
+    ) -> Result<()> {
+        match (&self.service, payload, out) {
+            (Service::Pooled(_) | Service::Lockstep(_), payload, out) => {
+                self.transfer_refs(refs, payload, out, false)
             }
-            Service::Pooled(pool) | Service::Lockstep(pool) => {
-                let buf = self.pool.take();
-                let (tx, rx) = channel();
-                pool.submit(
-                    disk,
-                    Cmd::Read {
-                        slot,
-                        buf,
-                        idx: 0,
-                        done: tx,
-                    },
-                );
-                let c = rx.recv().expect("disk service thread hung up");
-                if c.result.is_ok() {
-                    out.copy_from_slice(&c.buf);
-                }
-                self.pool.put(c.buf);
-                self.absorb_network_time();
-                c.result.map_err(|e| e.with_disk(disk))
-            }
-        }
-    }
-
-    /// Writes one block directly, bypassing the model (no I/O charged).
-    fn unit_write(&mut self, disk: usize, slot: usize, data: &[R]) -> Result<()> {
-        match &mut self.service {
-            Service::Serial(units) | Service::SpawnPerOp(units) => {
-                units[disk].write(slot, data).map_err(|e| e.with_disk(disk))
-            }
-            Service::Pooled(pool) | Service::Lockstep(pool) => {
-                let mut buf = self.pool.take();
-                buf.copy_from_slice(data);
-                let (tx, rx) = channel();
-                pool.submit(
-                    disk,
-                    Cmd::Write {
-                        slot,
-                        buf,
-                        idx: 0,
-                        done: tx,
-                    },
-                );
-                let c = rx.recv().expect("disk service thread hung up");
-                self.pool.put(c.buf);
-                self.absorb_network_time();
-                c.result.map_err(|e| e.with_disk(disk))
-            }
+            (_, Some(payload), _) => self.units_write(refs, payload),
+            (_, None, Some(out)) => self.units_read(refs, out),
+            (_, None, None) => unreachable!("an uncounted read needs a destination"),
         }
     }
 
@@ -1586,7 +1746,8 @@ impl<R: Record> DiskSystem<R> {
 
     /// Fills a portion with `records` in address order **without
     /// counting I/Os** — initial data placement, not part of any
-    /// algorithm's cost.
+    /// algorithm's cost. Transport-backed services move one run per
+    /// disk per memoryload.
     pub fn load_records(&mut self, portion: usize, records: &[R]) {
         assert_eq!(
             records.len(),
@@ -1594,30 +1755,26 @@ impl<R: Record> DiskSystem<R> {
             "load_records requires exactly N = {} records",
             self.geom.records()
         );
-        let base = self.portion_base(portion);
-        let stripe_len = self.geom.block() * self.geom.disks();
-        let block = self.geom.block();
-        for (t, stripe) in records.chunks_exact(stripe_len).enumerate() {
-            for (disk, chunk) in stripe.chunks_exact(block).enumerate() {
-                self.unit_write(disk, base + t, chunk)
-                    .expect("load_records within capacity");
-            }
+        let mut refs = std::mem::take(&mut self.stripe_scratch);
+        for (ml, chunk) in records.chunks_exact(self.geom.memory()).enumerate() {
+            self.memoryload_refs(portion, ml, &mut refs);
+            self.uncounted(&refs, Some(Payload::Flat(chunk)), None)
+                .expect("load_records within capacity");
         }
+        self.stripe_scratch = refs;
     }
 
     /// Reads a whole portion back in address order **without counting
     /// I/Os** — for verification at the end of an experiment.
     pub fn dump_records(&mut self, portion: usize) -> Vec<R> {
-        let base = self.portion_base(portion);
-        let mut out = Vec::with_capacity(self.geom.records());
-        let mut buf = vec![R::default(); self.geom.block()];
-        for t in 0..self.geom.stripes() {
-            for disk in 0..self.geom.disks() {
-                self.unit_read(disk, base + t, &mut buf)
-                    .expect("dump_records within capacity");
-                out.extend_from_slice(&buf);
-            }
+        let mut out = vec![R::default(); self.geom.records()];
+        let mut refs = std::mem::take(&mut self.stripe_scratch);
+        for (ml, chunk) in out.chunks_exact_mut(self.geom.memory()).enumerate() {
+            self.memoryload_refs(portion, ml, &mut refs);
+            self.uncounted(&refs, None, Some(chunk))
+                .expect("dump_records within capacity");
         }
+        self.stripe_scratch = refs;
         out
     }
 
@@ -1625,7 +1782,7 @@ impl<R: Record> DiskSystem<R> {
     /// potential-function tracker to observe state between operations.
     pub fn peek_block(&mut self, r: BlockRef) -> Vec<R> {
         let mut buf = vec![R::default(); self.geom.block()];
-        self.unit_read(r.disk, r.slot, &mut buf)
+        self.uncounted(&[r], None, Some(&mut buf))
             .expect("peek_block within capacity");
         buf
     }
@@ -1687,7 +1844,7 @@ impl<R: Record + ByteRecord> DiskSystem<R> {
                                 geom.block(),
                                 slots,
                                 *model,
-                            )));
+                            )?));
                         }
                     }
                     Backend::File { dir } => {
@@ -2456,6 +2613,46 @@ mod tests {
         sys.read_stripe(0).unwrap();
     }
 
+    /// A run whose request and reply frames each outgrow the socket
+    /// buffers (32768 one-record blocks on one disk: ~0.7 MB of read
+    /// replies, ~1 MB of write requests) must stream through the UDS
+    /// transport: the reader has to be draining replies while the
+    /// writer is still sending the run's requests.
+    #[test]
+    fn uds_run_larger_than_the_socket_buffers_streams() {
+        use crate::proto::Worker;
+        use crate::transport::{serve_stream, UdsTransport};
+        use std::os::unix::net::UnixListener;
+        let g = Geometry::new(1 << 16, 1, 1, 1 << 15).unwrap();
+        let dir = crate::tempdir::TempDir::new("pdm-uds-long-run");
+        let path = dir.path().join("disk0.sock");
+        let listener = UnixListener::bind(&path).unwrap();
+        let slots = g.stripes();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut w = Worker::new_mem(8, slots).unwrap();
+            serve_stream(stream, &mut w).unwrap();
+        });
+        let t = UdsTransport::<u64>::connect(0, &path, 1, slots, None, None).unwrap();
+        let mut sys = DiskSystem::from_remote(
+            g,
+            1,
+            DiskPool::from_transports(vec![Box::new(t) as Box<dyn Transport<u64>>]),
+        );
+        sys.set_threaded(true);
+        let records: Vec<u64> = (0..g.records() as u64).map(|i| i ^ 0x5a5a).collect();
+        sys.load_records(0, &records);
+        let mut out = vec![0u64; g.memory()];
+        sys.read_memoryload_into(0, 1, &mut out).unwrap();
+        assert_eq!(out, records[g.memory()..]);
+        assert_eq!(sys.dump_records(0), records);
+        let msgs = sys.message_stats();
+        assert_eq!(msgs.messages_sent, msgs.messages_received);
+        assert_eq!(msgs.messages_sent as usize, 2 * g.records() + g.memory());
+        drop(sys);
+        server.join().unwrap();
+    }
+
     /// The full UDS client path — handshake, socket framing, the
     /// reader-thread pipeline — against workers served on plain
     /// threads (the identical serve loop `pdm-diskd` runs), so the
@@ -2476,7 +2673,7 @@ mod tests {
             let block_bytes = g.block() * 8;
             handles.push(std::thread::spawn(move || {
                 let (stream, _) = listener.accept().unwrap();
-                let mut w = Worker::new_mem(block_bytes, slots);
+                let mut w = Worker::new_mem(block_bytes, slots).unwrap();
                 serve_stream(stream, &mut w).unwrap();
             }));
             transports.push(Box::new(

@@ -8,24 +8,31 @@
 //!   (`crate::parallel`).
 //! * [`UdsTransport`] — one `pdm-diskd` worker **process** per disk,
 //!   framed messages over a Unix-domain socket. Submission is a channel
-//!   send to a per-disk writer thread that encodes and writes request
-//!   frames (so a D-disk parallel I/O costs the submitting thread D
-//!   channel sends, like the in-process transport, and the D socket
-//!   syscalls run concurrently); a per-disk reader thread matches
-//!   reply frames to pending commands in FIFO order (sound because
-//!   one writer thread per socket writes, the socket is a FIFO byte
-//!   stream, and the single-threaded worker replies in request
-//!   order). Submission therefore stays split-phase: the engine's
-//!   read-ahead overlap pipelines requests over the socket exactly as
-//!   it pipelines them over channels.
+//!   send to a per-disk writer thread that expands the run command
+//!   into one request frame per block and writes them with a single
+//!   socket write (so a memoryload costs the submitting thread one
+//!   channel send per disk, like the in-process transport, and the D
+//!   socket syscalls run concurrently); a per-disk reader thread
+//!   matches reply frames to pending runs in FIFO order and answers
+//!   each run once its last frame arrives (sound because one writer
+//!   thread per socket writes, the socket is a FIFO byte stream, and
+//!   the single-threaded worker replies in request order). Submission
+//!   therefore stays split-phase: the engine's read-ahead overlap
+//!   pipelines requests over the socket exactly as it pipelines them
+//!   over channels.
 //! * [`SimNetTransport`] — a deterministic in-process "network": every
-//!   command is encoded to wire bytes, handled by the same
+//!   block of a run is encoded to its wire frame, handled by the same
 //!   [`Worker`] the out-of-process server runs, and decoded back, with
-//!   a [`SimNetModel`] charging latency and bandwidth into the
-//!   system's [`crate::timing::TimingTracker`]. Placement is
+//!   a [`SimNetModel`] charging latency and bandwidth per frame into
+//!   the system's [`crate::timing::TimingTracker`]. Placement is
 //!   byte-identical to InProc (the `ByteRecord` round trip is
 //!   lossless), so CI can gate the full wire path without spawning
 //!   processes.
+//!
+//! Both wire transports keep the per-block frame protocol of
+//! [`crate::proto`]: a run of `k` blocks is `k` request frames and `k`
+//! reply frames, so message and byte counts do not depend on how the
+//! caller batched its commands.
 //!
 //! The choice is configuration, not code: every algorithm takes
 //! `&mut DiskSystem<R>` and runs unmodified on any transport
@@ -242,7 +249,13 @@ pub fn diskd_main(args: impl Iterator<Item = String>) -> i32 {
                 }
             }
         }
-        None => Worker::new_mem(block_bytes, slots),
+        None => match Worker::new_mem(block_bytes, slots) {
+            Ok(w) => w,
+            Err(e) => {
+                eprintln!("pdm-diskd: {e}");
+                return 1;
+            }
+        },
     };
     let _ = std::fs::remove_file(&socket);
     let listener = match UnixListener::bind(&socket) {
@@ -268,6 +281,17 @@ pub fn diskd_main(args: impl Iterator<Item = String>) -> i32 {
             1
         }
     }
+}
+
+/// Bytes per block of `block` records of `R`, checked like the store
+/// sizes in [`Worker`].
+fn block_bytes<R: ByteRecord>(block: usize) -> Result<usize> {
+    block.checked_mul(R::BYTES).ok_or_else(|| {
+        PdmError::Config(format!(
+            "{block}-record blocks of {}-byte records overflow the address space",
+            R::BYTES
+        ))
+    })
 }
 
 /// Locates the `pdm-diskd` worker binary: the `PDM_DISKD_BIN`
@@ -363,11 +387,12 @@ impl Counters {
     }
 }
 
-/// A submitted command awaiting its reply frame, queued to the reader
-/// thread in submission order.
+/// A submitted run awaiting its reply frames (one per slot), queued to
+/// the reader thread in submission order.
 struct PendingOp<R> {
     idx: usize,
     is_read: bool,
+    slots: Vec<usize>,
     buf: Vec<R>,
     done: Sender<Completion<R>>,
 }
@@ -444,7 +469,15 @@ impl<R: Record + ByteRecord> UdsTransport<R> {
             std::thread::Builder::new()
                 .name(format!("pdm-uds-w-{disk}"))
                 .spawn(move || {
-                    writer_loop::<R>(disk, writer_stream, cmd_rx, pending_tx, counters, dead)
+                    writer_loop::<R>(
+                        disk,
+                        writer_stream,
+                        cmd_rx,
+                        pending_tx,
+                        counters,
+                        dead,
+                        block,
+                    )
                 })
                 .map_err(|e| PdmError::Io(format!("spawn uds writer: {e}")))?
         };
@@ -498,11 +531,13 @@ impl<R: Record + ByteRecord> UdsTransport<R> {
     }
 }
 
-/// Encodes and writes request frames for one disk, then registers each
-/// op with the reader in the exact order written (one writer per
-/// socket, so pending order equals wire order). A write failure marks
-/// the link dead and answers that and every later queued command with
-/// `Disconnected`, buffers attached.
+/// Encodes and writes request frames for one disk — one frame per
+/// block of each run, all of a run's frames in one socket write —
+/// registering each run with the reader just before its frames go out
+/// (one writer per socket, so pending order equals wire order). A
+/// write failure marks the link dead and severs the socket, so the
+/// reader answers that run with `Disconnected`; every later queued
+/// command is answered the same way here, buffers attached.
 fn writer_loop<R: Record + ByteRecord>(
     disk: usize,
     mut stream: UnixStream,
@@ -510,6 +545,7 @@ fn writer_loop<R: Record + ByteRecord>(
     pending_tx: Sender<PendingOp<R>>,
     counters: Arc<Counters>,
     dead: Arc<AtomicBool>,
+    block: usize,
 ) {
     let mut frame = Vec::new();
     while let Ok(cmd) = cmd_rx.recv() {
@@ -518,24 +554,40 @@ fn writer_loop<R: Record + ByteRecord>(
             continue;
         }
         frame.clear();
-        let (idx, is_read, buf, done) = match cmd {
+        let op = match cmd {
             Cmd::Read {
-                slot,
+                slots,
                 buf,
                 idx,
                 done,
             } => {
-                proto::encode_read(&mut frame, idx as u64, slot as u64);
-                (idx, true, buf, done)
+                for (j, &slot) in slots.iter().enumerate() {
+                    proto::encode_read(&mut frame, j as u64, slot as u64);
+                }
+                PendingOp {
+                    idx,
+                    is_read: true,
+                    slots,
+                    buf,
+                    done,
+                }
             }
             Cmd::Write {
-                slot,
+                slots,
                 buf,
                 idx,
                 done,
             } => {
-                proto::encode_write(&mut frame, idx as u64, slot as u64, &buf);
-                (idx, false, buf, done)
+                for (j, (&slot, chunk)) in slots.iter().zip(buf.chunks_exact(block)).enumerate() {
+                    proto::encode_write(&mut frame, j as u64, slot as u64, chunk);
+                }
+                PendingOp {
+                    idx,
+                    is_read: false,
+                    slots,
+                    buf,
+                    done,
+                }
             }
             Cmd::Stop => {
                 proto::encode_stop(&mut frame);
@@ -543,43 +595,77 @@ fn writer_loop<R: Record + ByteRecord>(
                 break;
             }
         };
-        if stream.write_all(&frame).is_err() {
-            dead.store(true, Ordering::Relaxed);
-            let _ = done.send(Completion {
-                idx,
-                disk,
-                buf,
-                result: Err(PdmError::Disconnected { disk }),
-            });
-            continue;
-        }
-        counters.msgs_out.fetch_add(1, Ordering::Relaxed);
-        counters
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if let Err(send_err) = pending_tx.send(PendingOp {
-            idx,
-            is_read,
-            buf,
-            done,
-        }) {
+        // Count first: once the run is registered, its replies may be
+        // answered before this thread gets past the write, and a caller
+        // reading the counters must already see the requests. (The
+        // hand-offs to the reader and on to the caller are channel
+        // sends, so these relaxed updates happen before any answer.)
+        let (frames, bytes) = (op.slots.len() as u64, frame.len() as u64);
+        counters.msgs_out.fetch_add(frames, Ordering::Relaxed);
+        counters.bytes_out.fetch_add(bytes, Ordering::Relaxed);
+        let uncount = || {
+            counters.msgs_out.fetch_sub(frames, Ordering::Relaxed);
+            counters.bytes_out.fetch_sub(bytes, Ordering::Relaxed);
+        };
+        // Register before writing: the worker starts answering at the
+        // first frame, and a long run's replies can outgrow the socket
+        // buffer before its last request is written.
+        if let Err(send_err) = pending_tx.send(op) {
             // The reader is gone (socket died): answer directly.
+            uncount();
             dead.store(true, Ordering::Relaxed);
             let p = send_err.0;
             let _ = p.done.send(Completion {
                 idx: p.idx,
                 disk,
                 buf: p.buf,
+                slots: p.slots,
                 result: Err(PdmError::Disconnected { disk }),
             });
+            continue;
+        }
+        if stream.write_all(&frame).is_err() {
+            // The run is registered, so the reader answers it: severing
+            // the socket makes its pending reads fail.
+            uncount();
+            dead.store(true, Ordering::Relaxed);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
     // Dropping pending_tx lets the reader drain in-flight ops and exit.
 }
 
-/// Matches reply frames to pending commands in FIFO order and fires
-/// their completions; a broken socket answers the rest with
-/// `Disconnected`.
+/// Decodes one reply frame of a run into `chunk` (reads) and reports
+/// the block's outcome.
+fn decode_block_reply<R: ByteRecord>(
+    disk: usize,
+    frame: &[u8],
+    j: usize,
+    is_read: bool,
+    chunk: &mut [R],
+) -> Result<()> {
+    let reply = proto::decode_reply(frame)?;
+    debug_assert_eq!(reply.idx, j as u64, "reply out of order");
+    let payload = reply.result?;
+    if !is_read {
+        return Ok(());
+    }
+    if payload.len() != chunk.len() * R::BYTES {
+        return Err(PdmError::Io(format!(
+            "disk {disk} read reply carries {} bytes, expected {}",
+            payload.len(),
+            chunk.len() * R::BYTES
+        )));
+    }
+    for (bytes, r) in payload.chunks_exact(R::BYTES).zip(chunk.iter_mut()) {
+        *r = R::from_bytes(bytes);
+    }
+    Ok(())
+}
+
+/// Matches reply frames to pending runs in FIFO order — one frame per
+/// slot — and answers each run once; a broken socket answers the rest
+/// with `Disconnected`.
 fn reader_loop<R: Record + ByteRecord>(
     disk: usize,
     stream: UnixStream,
@@ -590,45 +676,32 @@ fn reader_loop<R: Record + ByteRecord>(
     let mut reader = BufReader::with_capacity(64 * 1024, stream);
     let mut frame = Vec::new();
     while let Ok(mut p) = pending_rx.recv() {
-        let result = match read_frame(&mut reader, &mut frame) {
-            Ok(wire_bytes) => {
-                counters.msgs_in.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .bytes_in
-                    .fetch_add(wire_bytes as u64, Ordering::Relaxed);
-                match proto::decode_reply(&frame) {
-                    Ok(reply) => {
-                        debug_assert_eq!(reply.idx, p.idx as u64, "reply out of order");
-                        match reply.result {
-                            Ok(payload) if p.is_read => {
-                                if payload.len() == block * R::BYTES {
-                                    for (chunk, r) in
-                                        payload.chunks_exact(R::BYTES).zip(p.buf.iter_mut())
-                                    {
-                                        *r = R::from_bytes(chunk);
-                                    }
-                                    Ok(())
-                                } else {
-                                    Err(PdmError::Io(format!(
-                                        "disk {disk} read reply carries {} bytes, expected {}",
-                                        payload.len(),
-                                        block * R::BYTES
-                                    )))
-                                }
-                            }
-                            Ok(_) => Ok(()),
-                            Err(e) => Err(e),
-                        }
-                    }
-                    Err(e) => Err(e),
+        let mut result = Ok(());
+        for (j, chunk) in p.buf.chunks_exact_mut(block).enumerate() {
+            let r = match read_frame(&mut reader, &mut frame) {
+                Ok(wire_bytes) => {
+                    counters.msgs_in.fetch_add(1, Ordering::Relaxed);
+                    counters
+                        .bytes_in
+                        .fetch_add(wire_bytes as u64, Ordering::Relaxed);
+                    decode_block_reply(disk, &frame, j, p.is_read, chunk)
                 }
+                // The stream is gone: no later frame of this run (or
+                // any other) will arrive.
+                Err(_) => {
+                    result = Err(PdmError::Disconnected { disk });
+                    break;
+                }
+            };
+            if result.is_ok() {
+                result = r;
             }
-            Err(_) => Err(PdmError::Disconnected { disk }),
-        };
+        }
         let _ = p.done.send(Completion {
             idx: p.idx,
             disk,
             buf: p.buf,
+            slots: p.slots,
             result,
         });
     }
@@ -1099,8 +1172,12 @@ pub struct SimNetTransport<R: Record + ByteRecord> {
 
 impl<R: Record + ByteRecord> SimNetTransport<R> {
     /// A memory-backed simulated worker for `disk`.
-    pub fn new_mem(disk: usize, block: usize, slots: usize, model: SimNetModel) -> Self {
-        Self::with_worker(disk, Worker::new_mem(block * R::BYTES, slots), model)
+    pub fn new_mem(disk: usize, block: usize, slots: usize, model: SimNetModel) -> Result<Self> {
+        Ok(Self::with_worker(
+            disk,
+            Worker::new_mem(block_bytes::<R>(block)?, slots)?,
+            model,
+        ))
     }
 
     /// A file-backed simulated worker for `disk`, storing at `path`.
@@ -1113,7 +1190,7 @@ impl<R: Record + ByteRecord> SimNetTransport<R> {
     ) -> Result<Self> {
         Ok(Self::with_worker(
             disk,
-            Worker::new_file(path, block * R::BYTES, slots)?,
+            Worker::new_file(path, block_bytes::<R>(block)?, slots)?,
             model,
         ))
     }
@@ -1132,47 +1209,29 @@ impl<R: Record + ByteRecord> SimNetTransport<R> {
         }
     }
 
-    /// Encodes nothing — `req` already holds exactly one frame. Sends
-    /// it through the worker and decodes the reply into a completion.
-    fn round_trip(
-        &mut self,
-        idx: usize,
-        is_read: bool,
-        mut buf: Vec<R>,
-        done: Sender<Completion<R>>,
-    ) {
+    /// Sends the single frame in `req` through the worker and decodes
+    /// the reply into `chunk` (reads).
+    fn round_trip(&mut self, is_read: bool, chunk: &mut [R]) -> Result<()> {
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += self.req.len() as u64;
         self.sim_ms += self.model.transfer_ms(self.req.len() as u64);
         self.rep.clear();
-        let result = match self.worker.handle(&self.req[FRAME_HEADER..], &mut self.rep) {
-            Ok(true) => {
-                self.stats.messages_received += 1;
-                self.stats.bytes_received += self.rep.len() as u64;
-                self.sim_ms += self.model.transfer_ms(self.rep.len() as u64);
-                match proto::decode_reply(&self.rep[FRAME_HEADER..]) {
-                    Ok(reply) => match reply.result {
-                        Ok(payload) if is_read => {
-                            for (chunk, r) in payload.chunks_exact(R::BYTES).zip(buf.iter_mut()) {
-                                *r = R::from_bytes(chunk);
-                            }
-                            Ok(())
-                        }
-                        Ok(_) => Ok(()),
-                        Err(e) => Err(e),
-                    },
-                    Err(e) => Err(e),
-                }
+        if !self
+            .worker
+            .handle(&self.req[FRAME_HEADER..], &mut self.rep)?
+        {
+            return Err(PdmError::Io("worker answered STOP to a transfer".into()));
+        }
+        self.stats.messages_received += 1;
+        self.stats.bytes_received += self.rep.len() as u64;
+        self.sim_ms += self.model.transfer_ms(self.rep.len() as u64);
+        let payload = proto::decode_reply(&self.rep[FRAME_HEADER..])?.result?;
+        if is_read {
+            for (bytes, r) in payload.chunks_exact(R::BYTES).zip(chunk.iter_mut()) {
+                *r = R::from_bytes(bytes);
             }
-            Ok(false) => Err(PdmError::Io("worker answered STOP to a transfer".into())),
-            Err(e) => Err(e),
-        };
-        let _ = done.send(Completion {
-            idx,
-            disk: self.disk,
-            buf,
-            result,
-        });
+        }
+        Ok(())
     }
 }
 
@@ -1181,34 +1240,49 @@ impl<R: Record + ByteRecord> Transport<R> for SimNetTransport<R> {
         self.disk
     }
 
+    /// Expands the run into one frame round trip per block, then
+    /// answers once.
     fn submit(&mut self, cmd: Cmd<R>) {
         if self.dead {
             fail_disconnected(cmd, self.disk);
             return;
         }
-        match cmd {
+        let (is_read, slots, mut buf, idx, done) = match cmd {
             Cmd::Read {
-                slot,
+                slots,
                 buf,
                 idx,
                 done,
-            } => {
-                self.req.clear();
-                proto::encode_read(&mut self.req, idx as u64, slot as u64);
-                self.round_trip(idx, true, buf, done);
-            }
+            } => (true, slots, buf, idx, done),
             Cmd::Write {
-                slot,
+                slots,
                 buf,
                 idx,
                 done,
-            } => {
-                self.req.clear();
-                proto::encode_write(&mut self.req, idx as u64, slot as u64, &buf);
-                self.round_trip(idx, false, buf, done);
+            } => (false, slots, buf, idx, done),
+            Cmd::Stop => return,
+        };
+        let block = self.worker.block_bytes() / R::BYTES;
+        let mut result = Ok(());
+        for (j, (&slot, chunk)) in slots.iter().zip(buf.chunks_exact_mut(block)).enumerate() {
+            self.req.clear();
+            if is_read {
+                proto::encode_read(&mut self.req, j as u64, slot as u64);
+            } else {
+                proto::encode_write(&mut self.req, j as u64, slot as u64, chunk);
             }
-            Cmd::Stop => {}
+            let r = self.round_trip(is_read, chunk);
+            if result.is_ok() {
+                result = r;
+            }
         }
+        let _ = done.send(Completion {
+            idx,
+            disk: self.disk,
+            buf,
+            slots,
+            result,
+        });
     }
 
     fn message_stats(&self) -> MsgStats {
@@ -1252,17 +1326,17 @@ mod tests {
 
     #[test]
     fn sim_transport_round_trip_counts_messages_and_time() {
-        let mut t = SimNetTransport::<u64>::new_mem(0, 2, 4, SimNetModel::lan());
+        let mut t = SimNetTransport::<u64>::new_mem(0, 2, 4, SimNetModel::lan()).unwrap();
         let (tx, rx) = channel();
         t.submit(Cmd::Write {
-            slot: 1,
+            slots: vec![1],
             buf: vec![10, 11],
             idx: 0,
             done: tx.clone(),
         });
         rx.recv().unwrap().result.unwrap();
         t.submit(Cmd::Read {
-            slot: 1,
+            slots: vec![1],
             buf: vec![0, 0],
             idx: 1,
             done: tx,
@@ -1280,13 +1354,63 @@ mod tests {
     }
 
     #[test]
+    fn sim_transport_expands_a_run_into_per_block_frames() {
+        let mut t = SimNetTransport::<u64>::new_mem(0, 2, 4, SimNetModel::lan()).unwrap();
+        let (tx, rx) = channel();
+        t.submit(Cmd::Write {
+            slots: vec![3, 0, 2],
+            buf: vec![30, 31, 0, 1, 20, 21],
+            idx: 0,
+            done: tx.clone(),
+        });
+        rx.recv().unwrap().result.unwrap();
+        let writes = t.message_stats();
+        assert_eq!((writes.messages_sent, writes.messages_received), (3, 3));
+        t.submit(Cmd::Read {
+            slots: vec![2, 3],
+            buf: vec![0; 4],
+            idx: 1,
+            done: tx,
+        });
+        let c = rx.recv().unwrap();
+        c.result.unwrap();
+        assert_eq!(c.buf, vec![20, 21, 30, 31]);
+        assert!(rx.try_recv().is_err(), "one completion per run");
+        let s = t.message_stats();
+        assert_eq!((s.messages_sent, s.messages_received), (5, 5));
+        // Bytes equal five single-block round trips.
+        let mut single = SimNetTransport::<u64>::new_mem(0, 2, 4, SimNetModel::lan()).unwrap();
+        let (tx, rx) = channel();
+        for (slot, buf) in [(3, vec![30, 31]), (0, vec![0, 1]), (2, vec![20, 21])] {
+            single.submit(Cmd::Write {
+                slots: vec![slot],
+                buf,
+                idx: 0,
+                done: tx.clone(),
+            });
+        }
+        for slot in [2, 3] {
+            single.submit(Cmd::Read {
+                slots: vec![slot],
+                buf: vec![0; 2],
+                idx: 0,
+                done: tx.clone(),
+            });
+        }
+        for _ in 0..5 {
+            rx.recv().unwrap().result.unwrap();
+        }
+        assert_eq!(single.message_stats(), s);
+    }
+
+    #[test]
     fn sim_transport_disconnect_answers_without_worker() {
-        let mut t = SimNetTransport::<u64>::new_mem(3, 2, 4, SimNetModel::lan());
+        let mut t = SimNetTransport::<u64>::new_mem(3, 2, 4, SimNetModel::lan()).unwrap();
         let before = t.message_stats();
         t.inject_disconnect();
         let (tx, rx) = channel();
         t.submit(Cmd::Read {
-            slot: 0,
+            slots: vec![0],
             buf: vec![0, 0],
             idx: 0,
             done: tx,
@@ -1303,7 +1427,7 @@ mod tests {
         // loop pdm-diskd runs, no process spawn needed.
         let (client, server) = UnixStream::pair().unwrap();
         let handle = std::thread::spawn(move || {
-            let mut worker = Worker::new_mem(16, 8);
+            let mut worker = Worker::new_mem(16, 8).unwrap();
             serve_stream(server, &mut worker).unwrap();
         });
         let mut frame = Vec::new();
@@ -1338,7 +1462,7 @@ mod tests {
     fn serve_stream_refuses_version_mismatch() {
         let (client, server) = UnixStream::pair().unwrap();
         let handle = std::thread::spawn(move || {
-            let mut worker = Worker::new_mem(16, 8);
+            let mut worker = Worker::new_mem(16, 8).unwrap();
             serve_stream_with_version(server, &mut worker, PROTO_VERSION + 1).unwrap();
         });
         let mut frame = Vec::new();
@@ -1362,7 +1486,7 @@ mod tests {
     fn serve_stream_refuses_geometry_mismatch() {
         let (client, server) = UnixStream::pair().unwrap();
         let handle = std::thread::spawn(move || {
-            let mut worker = Worker::new_mem(16, 8);
+            let mut worker = Worker::new_mem(16, 8).unwrap();
             serve_stream(server, &mut worker).unwrap();
         });
         let mut frame = Vec::new();
@@ -1380,10 +1504,10 @@ mod tests {
 
     #[test]
     fn sim_transport_respawn_revives_the_link_with_data_intact() {
-        let mut t = SimNetTransport::<u64>::new_mem(2, 2, 4, SimNetModel::lan());
+        let mut t = SimNetTransport::<u64>::new_mem(2, 2, 4, SimNetModel::lan()).unwrap();
         let (tx, rx) = channel();
         t.submit(Cmd::Write {
-            slot: 0,
+            slots: vec![0],
             buf: vec![5, 6],
             idx: 0,
             done: tx.clone(),
@@ -1393,7 +1517,7 @@ mod tests {
         t.inject_disconnect();
         assert!(t.respawn().unwrap());
         t.submit(Cmd::Read {
-            slot: 0,
+            slots: vec![0],
             buf: vec![0, 0],
             idx: 1,
             done: tx,

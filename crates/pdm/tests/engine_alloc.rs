@@ -2,32 +2,41 @@
 //!
 //! The [`pdm::PassEngine`] owns all its plan storage — the memoryload
 //! buffers, the run-length [`pdm::BlockBatches`] gather/scatter sets
-//! (plus the [`pdm::BatchCursor`] that materialises their batches),
-//! the striped-plan reference scratch, and the write-ticket list — and the
-//! [`pdm::DiskSystem`] admission path reuses its validation scratch.
-//! After a warm-up pass, streaming further passes through the engine
-//! in the serial service mode must perform **zero** heap allocations,
-//! for striped and for gather/scatter plans alike. (The threaded mode
-//! is exempt: its channel machinery allocates per operation by
-//! design.)
+//! (plus the [`pdm::BatchCursor`] that materialises their batches) and
+//! the flattened-request scratch — and the [`pdm::DiskSystem`]
+//! admission path reuses its validation scratch. After a warm-up pass,
+//! streaming further passes through the engine in the serial service
+//! mode must perform **zero** heap allocations, for striped and for
+//! gather/scatter plans alike. The threaded mode recycles its run
+//! buffers, run tables and slot lists too; only each request's
+//! completion channel is fresh, which the last test bounds.
 //!
 //! Verified the blunt way: a counting `#[global_allocator]` wraps the
 //! system allocator, and the second pass must leave the counter
-//! untouched. This file holds only these tests so no other test's
-//! allocations can interfere.
+//! untouched. The counter is per thread — the harness runs these tests
+//! concurrently, and the serial engine runs entirely on the test's own
+//! thread — so no other test's allocations can interfere.
 
 use pdm::engine::{PassEngine, ReadPlan, WritePlan};
 use pdm::{BlockRef, DiskSystem, Geometry, ServiceMode};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised, so touching it from the allocator never
+    // allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// N=512, B=2, D=4, M=64: 8 memoryloads of 8 stripes each.
@@ -175,5 +184,38 @@ fn gather_scatter_pass_is_allocation_free_after_warmup() {
     assert_eq!(
         sys.dump_records(0),
         (0..g.records() as u64).collect::<Vec<_>>()
+    );
+}
+
+/// The forecasting merge's single-block split-phase read in threaded
+/// mode: the run table, the slot list, and the buffer are all recycled,
+/// so after warm-up a read costs the submitting thread only its
+/// completion channel (two allocations in std's mpsc).
+#[test]
+fn threaded_single_block_read_allocates_only_its_channel() {
+    let g = geom();
+    let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 1);
+    sys.set_service_mode(ServiceMode::Threaded);
+    sys.load_records(0, &(0..g.records() as u64).collect::<Vec<_>>());
+    let mut out = vec![0u64; g.block()];
+    let mut read = |sys: &mut DiskSystem<u64>, i: usize| {
+        let r = BlockRef {
+            disk: i % g.disks(),
+            slot: i % g.stripes(),
+        };
+        let t = sys.begin_read_block(r).unwrap();
+        sys.finish_read(t, &mut out).unwrap();
+        assert_eq!(out[0], ((r.slot * g.disks() + r.disk) * g.block()) as u64);
+    };
+    read(&mut sys, 0); // warm-up
+    let reads = 64;
+    let before = allocations();
+    for i in 1..=reads {
+        read(&mut sys, i);
+    }
+    let per_read = (allocations() - before) as f64 / reads as f64;
+    assert!(
+        per_read <= 2.0,
+        "a steady-state single-block read allocated {per_read} times, more than its channel"
     );
 }

@@ -2,9 +2,9 @@
 //! physical disk, many tenant [`DiskSystem`]s.
 //!
 //! A [`DiskFarm`] owns `D` memory-backed disk workers, each a thread
-//! looping over a command channel exactly like
-//! [`pdm::parallel::InProcTransport`]'s service loop — except that
-//! *many* clients hold senders to the same worker. Each admitted job
+//! serving run commands from a channel with the same loop as
+//! [`pdm::parallel::InProcTransport`] ([`pdm::parallel::serve_cmd`]) —
+//! except that *many* clients hold senders to the same worker. Each admitted job
 //! leases a contiguous range of block slots on every disk
 //! ([`DiskFarm::lease_system`]) and gets its own
 //! [`DiskSystem`] whose per-disk `FarmTransport`s translate the
@@ -17,7 +17,7 @@
 //! is *submitted* next.
 
 use pdm::backend::{DiskUnit, MemDisk};
-use pdm::parallel::{fail_disconnected, Cmd};
+use pdm::parallel::{fail_disconnected, serve_cmd, Cmd};
 use pdm::record::{ByteRecord, Record};
 use pdm::{DiskSystem, Geometry, MsgStats, PdmError, RemoteDisk, RespawnSpec, Result, Transport};
 use std::path::PathBuf;
@@ -180,42 +180,12 @@ impl<R: Record> DiskFarm<R> {
             let handle = std::thread::Builder::new()
                 .name(format!("pdm-farm-{d}"))
                 .spawn(move || {
+                    // A farm worker serves many tenants: one tenant's
+                    // stop must not kill the disk, so `Stop` is ignored
+                    // (FarmTransport never forwards it; this is defense
+                    // in depth).
                     while let Ok(cmd) = rx.recv() {
-                        match cmd {
-                            Cmd::Read {
-                                slot,
-                                mut buf,
-                                idx,
-                                done,
-                            } => {
-                                let result = unit.read(slot, &mut buf);
-                                let _ = done.send(pdm::parallel::Completion {
-                                    idx,
-                                    disk: d,
-                                    buf,
-                                    result,
-                                });
-                            }
-                            Cmd::Write {
-                                slot,
-                                buf,
-                                idx,
-                                done,
-                            } => {
-                                let result = unit.write(slot, &buf);
-                                let _ = done.send(pdm::parallel::Completion {
-                                    idx,
-                                    disk: d,
-                                    buf,
-                                    result,
-                                });
-                            }
-                            // A farm worker serves many tenants: one
-                            // tenant's stop must not kill the disk.
-                            // (FarmTransport never forwards Stop; this
-                            // is defense in depth.)
-                            Cmd::Stop => {}
-                        }
+                        serve_cmd(unit.as_mut(), d, cmd);
                     }
                 })
                 .expect("spawn farm worker");
@@ -395,8 +365,8 @@ impl<R: Record> Drop for DiskFarm<R> {
     }
 }
 
-/// One disk's transport for one tenant: forwards commands to the
-/// shared worker with the job's slot addresses translated into its
+/// One disk's transport for one tenant: forwards run commands to the
+/// shared worker with every slot of the run translated into the job's
 /// leased range. Message counters stay zero (commands cross by
 /// reference, like the in-process transport); a severed transport
 /// answers everything with [`PdmError::Disconnected`], buffer
@@ -418,37 +388,20 @@ impl<R: Record> Transport<R> for FarmTransport<R> {
         self.disk
     }
 
-    fn submit(&mut self, cmd: Cmd<R>) {
+    fn submit(&mut self, mut cmd: Cmd<R>) {
         if self.dead {
             fail_disconnected(cmd, self.disk);
             return;
         }
-        let cmd = match cmd {
-            Cmd::Read {
-                slot,
-                buf,
-                idx,
-                done,
-            } => Cmd::Read {
-                slot: slot + self.base,
-                buf,
-                idx,
-                done,
-            },
-            Cmd::Write {
-                slot,
-                buf,
-                idx,
-                done,
-            } => Cmd::Write {
-                slot: slot + self.base,
-                buf,
-                idx,
-                done,
-            },
+        match &mut cmd {
+            Cmd::Read { slots, .. } | Cmd::Write { slots, .. } => {
+                for slot in slots.iter_mut() {
+                    *slot += self.base;
+                }
+            }
             // The shared worker outlives this tenant; swallow stops.
             Cmd::Stop => return,
-        };
+        }
         if let Err(send_err) = self.tx.send(cmd) {
             self.dead = true;
             fail_disconnected(send_err.0, self.disk);
