@@ -72,7 +72,10 @@
 //! per width — the tuning evidence behind `RESIDUAL_TABLE_MAX_BITS`);
 //! and the extsort section gains adversarial-input rows
 //! (duplicate-heavy and skewed key catalogs from `extsort::keys`),
-//! whose schedules must stay input-independent.
+//! whose schedules must stay input-independent. Every extsort row also
+//! carries `form_ms` and `merge_ms`, the sort's run-formation and merge
+//! wall times (`SortReport::formation_time` / `merge_time`): table-only,
+//! never gated.
 //!
 //! ```text
 //! cargo run --release -p bmmc-bench --bin engine_sweep -- [FLAGS]
@@ -1776,10 +1779,15 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                     (report, dt)
                 };
                 let (report, mut best) = run(&input);
+                // Phase split of the fastest rep (table-only, not gated).
+                let mut phases = (report.formation_time, report.merge_time);
                 for _ in 1..reps {
                     let (r, dt) = run(&input);
                     assert_eq!(r.total.parallel_ios(), report.total.parallel_ios());
-                    best = best.min(dt);
+                    if dt < best {
+                        best = dt;
+                        phases = (r.formation_time, r.merge_time);
+                    }
                 }
                 if backend == "file" {
                     std::fs::remove_dir_all(&scratch).ok();
@@ -1800,7 +1808,7 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                 );
                 eprintln!(
                     "   {:<8} {:<5} {:<9} fan-in {:>3}  {} passes  {:>7} parallel I/Os  \
-                     {:>12.0} rec/s  {:>8.2} ms",
+                     {:>12.0} rec/s  {:>8.2} ms  (form {:>7.2} + merge {:>8.2} ms)",
                     variant,
                     backend,
                     mode_name,
@@ -1808,7 +1816,9 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                     report.passes,
                     report.total.parallel_ios(),
                     geom.records() as f64 / best,
-                    best * 1e3
+                    best * 1e3,
+                    phases.0.as_secs_f64() * 1e3,
+                    phases.1.as_secs_f64() * 1e3
                 );
                 rows.push(Json::obj(vec![
                     ("variant", Json::Str(variant.into())),
@@ -1829,6 +1839,8 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                         "elapsed_ms",
                         Json::Num((best * 1e3 * 1000.0).round() / 1000.0),
                     ),
+                    ("form_ms", phase_ms(phases.0)),
+                    ("merge_ms", phase_ms(phases.1)),
                 ]));
             }
         }
@@ -1873,7 +1885,7 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
             );
             eprintln!(
                 "   {:<8} {:<5} {:<9} fan-in {:>3}  {} passes  {:>7} parallel I/Os  \
-                 {:>12.0} rec/s  {:>8.2} ms",
+                 {:>12.0} rec/s  {:>8.2} ms  (form {:>7.2} + merge {:>8.2} ms)",
                 variant,
                 iname,
                 "serial",
@@ -1881,7 +1893,9 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                 report.passes,
                 report.total.parallel_ios(),
                 records as f64 / dt,
-                dt * 1e3
+                dt * 1e3,
+                report.formation_time.as_secs_f64() * 1e3,
+                report.merge_time.as_secs_f64() * 1e3
             );
             rows.push(Json::obj(vec![
                 ("variant", Json::Str(variant.into())),
@@ -1902,6 +1916,8 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
                     "elapsed_ms",
                     Json::Num((dt * 1e3 * 1000.0).round() / 1000.0),
                 ),
+                ("form_ms", phase_ms(report.formation_time)),
+                ("merge_ms", phase_ms(report.merge_time)),
             ]));
         }
     }
@@ -1924,6 +1940,11 @@ fn run_extsort_sweep(lg_records: usize, reps: usize, parent: &Path) -> Json {
         ("lg_records", Json::Num(lg_records as f64)),
         ("rows", Json::Arr(rows)),
     ])
+}
+
+/// A sort phase's wall time as a row value, in ms to the microsecond.
+fn phase_ms(t: std::time::Duration) -> Json {
+    Json::Num((t.as_secs_f64() * 1e6).round() / 1000.0)
 }
 
 fn speedup(rows: &[Row], disks: usize, mode: &str) -> Option<f64> {

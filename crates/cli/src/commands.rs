@@ -411,6 +411,11 @@ fn run_sort_route(
         rep.passes,
         rep.total
     );
+    println!(
+        "sort phases: run formation {:.2} ms, merge {:.2} ms",
+        rep.formation_time.as_secs_f64() * 1e3,
+        rep.merge_time.as_secs_f64() * 1e3
+    );
     if let Some((plan, geom)) = predicted {
         let planned = plan.parallel_ios(geom);
         let measured = rep.total.parallel_ios();

@@ -68,6 +68,10 @@ fn run_sort_algorithm() {
         "--verify",
     ]);
     assert!(text.contains("sort baseline"));
+    assert!(
+        text.contains("sort phases: run formation ") && text.contains(" ms, merge "),
+        "{text}"
+    );
     assert!(text.contains("verified"));
 }
 
@@ -263,6 +267,29 @@ fn errors_are_reported() {
     assert!(err.contains("unknown builtin"));
     let err = run_err(&["run", "--builtin", "gray", "--geometry", "3,3,3,3"]);
     assert!(err.contains("power of two"));
+    // B·D overflows usize: a typed geometry error, not a panic.
+    let out = cli()
+        .args([
+            "run",
+            "--builtin",
+            "bit-reversal",
+            "--algorithm",
+            "factor",
+            "--geometry",
+            "2^63,2^32,2^32,2^62",
+        ])
+        .output()
+        .expect("spawn bmmc-cli");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "overflowing geometry must exit 1"
+    );
+    let err = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(
+        err.contains("invalid PDM configuration") && err.contains("overflows"),
+        "{err}"
+    );
     let err = run_err(&["frobnicate"]);
     assert!(err.contains("unknown command"));
     let err = run_err(&["run", "--geometry", GEOM]);

@@ -21,6 +21,10 @@
 //! and strictly fewer merge passes whenever the default needs more
 //! than one, at the price of independent single-block refill reads.
 //!
+//! Every strategy merges through one keyed loser tree, at `O(log F)`
+//! CPU work per record and per block refill, and the sort is stable:
+//! records with equal keys keep their input order (see [`merge`]).
+//!
 //! ```
 //! use extsort::general_permute;
 //! use pdm::{DiskSystem, Geometry};

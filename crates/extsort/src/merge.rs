@@ -23,7 +23,7 @@
 //!   a full merge pass costs exactly `2N/BD`.
 //! * [`MergeStrategy::DoubleBuffered`]: each cursor holds *two* stripe
 //!   buffers and prefetches its next stripe split-phase
-//!   ([`pdm::DiskSystem::begin_read`]) while the heap drains the
+//!   ([`pdm::DiskSystem::begin_read`]) while the merge drains the
 //!   current one, so in [`pdm::ServiceMode::Threaded`] the refill
 //!   latency hides behind the comparisons. To stay inside `M` records
 //!   the fan-in is halved — `F₂ = (M/BD − 1)/2` — which *raises* the
@@ -34,7 +34,7 @@
 //!   last record of its current block. Blocks within a run are sorted,
 //!   so the run whose forecasting key is smallest is *exactly* the run
 //!   whose buffer empties next; its next block is prefetched
-//!   split-phase into one shared landing block while the heap drains.
+//!   split-phase into one shared landing block while the merge drains.
 //!   Memory holds `F` run blocks, the landing block, and the output
 //!   stripe: `F₃ = M/B − D − 1 = Θ(M/B)` — a factor ~`D` more fan-in
 //!   than `F₁`, hence strictly fewer merge passes whenever the
@@ -46,6 +46,21 @@
 //!   striped strategies — `bmmc::bounds::merge_sort_ios` computes both
 //!   sides exactly and the `engine_sweep` extsort section measures
 //!   them.
+//!
+//! # CPU cost and stability
+//!
+//! All three strategies share one record-merge kernel: a keyed loser
+//! tree over the group's cursors. The keys of a block (or stripe) are
+//! computed once, when it lands, so an output record costs one cached
+//! key read and `⌈log₂ F⌉` compares on the replay path. The forecasting
+//! merge picks each prefetch from a min-heap of `(forecasting key, run
+//! index)` over the runs with unfetched blocks, so a block refill costs
+//! `O(log F)` rather than a scan of all `F` runs. Run formation keys
+//! each record once per memoryload (it sorts packed `(key, position)`
+//! pairs and gathers). The sort is therefore **stable**: formation keeps
+//! input order among equal keys, runs are consecutive in input order,
+//! and the merge breaks ties by run index. Every strategy, in every
+//! service mode, places every input identically.
 
 use pdm::engine::{ReadPlan, WritePlan};
 use pdm::{
@@ -53,6 +68,7 @@ use pdm::{
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::{Duration, Instant};
 
 /// How the merge passes buffer their runs. See the module docs for the
 /// cost trade-offs; `bmmc::bounds` mirrors the fan-in and cost
@@ -138,6 +154,10 @@ pub struct SortReport {
     pub msgs: MsgStats,
     /// Portion holding the sorted data.
     pub final_portion: usize,
+    /// Wall time of run formation (the first pass).
+    pub formation_time: Duration,
+    /// Wall time of all merge passes together.
+    pub merge_time: Duration,
 }
 
 /// A run: a contiguous range of stripes, sorted by key, living in
@@ -151,60 +171,166 @@ struct Run {
     portion: usize,
 }
 
-/// One run being consumed during a single-buffered merge: a reusable
-/// one-stripe buffer plus the read cursor.
-struct Cursor<R> {
-    run: Run,
-    /// `portion_base` of the run's portion.
-    base: usize,
-    next_stripe: usize,
-    buf: Vec<R>,
-    /// Valid records in `buf` (0 until the first refill).
-    filled: usize,
+/// Packs a key and an index into one ordered entry: comparing packed
+/// entries compares by key, then by index.
+#[inline]
+fn entry(key: u64, index: usize) -> u128 {
+    (u128::from(key) << 64) | index as u128
+}
+
+/// The index half of a packed [`entry`].
+#[inline]
+fn entry_index(e: u128) -> usize {
+    e as u64 as usize
+}
+
+/// The loser-tree entry of a run with no records left: above every
+/// packed `(key, index)`, since no index reaches `u64::MAX`.
+const EXHAUSTED: u128 = u128::MAX;
+
+/// A loser tree over `k` leaves holding packed `(key, index)` entries
+/// ([`entry`]), leaf `i` carrying index `i`. `nodes[0]` is the overall
+/// winner; `nodes[j]` for `1 ≤ j < k` caches the loser of the match at
+/// internal node `j`, whose children are `2j` and `2j + 1`. Leaf `i`
+/// sits (implicitly) at position `k + i`, so any `k` gives a full binary
+/// tree of depth `⌈log₂ k⌉`. Replacing the winner replays only its leaf's
+/// path: `⌈log₂ k⌉` compares against cached losers. The pop order is
+/// exactly a binary heap's over the same `(key, index)` pairs.
+struct LoserTree {
+    nodes: Vec<u128>,
+}
+
+impl LoserTree {
+    /// Plays the initial tournament over `leaves` (use [`EXHAUSTED`]
+    /// for a leaf with nothing to offer).
+    fn new(leaves: &[u128]) -> Self {
+        let k = leaves.len();
+        assert!(k > 0, "a loser tree needs at least one leaf");
+        // winners[j]: the winner of the subtree at position j.
+        let mut winners = vec![EXHAUSTED; 2 * k];
+        winners[k..].copy_from_slice(leaves);
+        let mut nodes = vec![EXHAUSTED; k];
+        for j in (1..k).rev() {
+            let (a, b) = (winners[2 * j], winners[2 * j + 1]);
+            winners[j] = a.min(b);
+            nodes[j] = a.max(b);
+        }
+        nodes[0] = winners[1];
+        LoserTree { nodes }
+    }
+
+    /// The smallest live entry as `(key, leaf index)`, or `None` once
+    /// every leaf is exhausted.
+    #[inline]
+    fn peek(&self) -> Option<(u64, usize)> {
+        let w = self.nodes[0];
+        (w != EXHAUSTED).then(|| ((w >> 64) as u64, entry_index(w)))
+    }
+
+    /// Replaces the current winner's leaf with `next` — that leaf's
+    /// next entry, or [`EXHAUSTED`] — and replays the leaf's path to
+    /// the root.
+    #[inline]
+    fn replace_winner(&mut self, next: u128) {
+        let k = self.nodes.len();
+        let leaf = entry_index(self.nodes[0]);
+        debug_assert!(leaf < k, "no live winner to replace");
+        debug_assert!(next == EXHAUSTED || entry_index(next) == leaf);
+        let mut v = next;
+        let mut p = (k + leaf) / 2;
+        while p > 0 {
+            let n = self.nodes[p];
+            self.nodes[p] = n.max(v);
+            v = n.min(v);
+            p /= 2;
+        }
+        self.nodes[0] = v;
+    }
+}
+
+/// A run's buffered records plus their keys, computed once when the
+/// buffer is installed. The buffer is either full (`pos` counts the
+/// records already merged) or drained (`pos == len`); runs are stripe-
+/// aligned, so every refill fills it completely.
+struct KeyedBuf<R> {
+    recs: Vec<R>,
+    keys: Vec<u64>,
     pos: usize,
 }
 
-impl<R: Record> Cursor<R> {
-    fn new(run: Run, base: usize, stripe_len: usize) -> Self {
-        Cursor {
-            run,
-            base,
-            next_stripe: run.start,
-            buf: vec![R::default(); stripe_len],
-            filled: 0,
-            pos: 0,
+impl<R: Record> KeyedBuf<R> {
+    /// An empty (drained) buffer of `len` records.
+    fn new(len: usize) -> Self {
+        KeyedBuf {
+            recs: vec![R::default(); len],
+            keys: vec![0; len],
+            pos: len,
         }
     }
 
-    fn exhausted(&self) -> bool {
-        self.pos >= self.filled && self.next_stripe >= self.run.end
-    }
-
-    /// Refills the buffer (in place, no allocation) if empty; returns
-    /// false when the run is done.
-    fn ensure(&mut self, sys: &mut DiskSystem<R>) -> Result<bool, PdmError> {
-        if self.pos < self.filled {
-            return Ok(true);
+    /// Keys the freshly landed `recs` and rewinds to the first record.
+    fn install(&mut self, key: impl Fn(&R) -> u64) {
+        for (k, r) in self.keys.iter_mut().zip(&self.recs) {
+            *k = key(r);
         }
-        if self.next_stripe >= self.run.end {
-            return Ok(false);
-        }
-        sys.read_stripe_into(self.base + self.next_stripe, &mut self.buf)?;
-        self.filled = self.buf.len();
         self.pos = 0;
-        self.next_stripe += 1;
-        Ok(true)
     }
 
-    fn peek(&self) -> &R {
-        &self.buf[self.pos]
+    fn drained(&self) -> bool {
+        self.pos == self.recs.len()
     }
 
-    fn pop(&mut self) -> R {
-        let r = self.buf[self.pos];
-        self.pos += 1;
-        r
+    /// The key of the buffer's last record (the forecasting key).
+    fn last_key(&self) -> u64 {
+        self.keys[self.keys.len() - 1]
     }
+}
+
+/// The record merge every strategy shares: a keyed loser tree over
+/// the cursors' buffered heads, appending to the one-stripe output
+/// buffer `out` and writing it striped from stripe `out_stripe`
+/// (absolute) on. `refill(sys, cursors, i)` makes cursor `i`'s next
+/// buffer current once its buffer drains, returning false when run `i`
+/// has no records left; cursors still drained at the start are refilled
+/// first, in index order. Ties between equal keys go to the lower
+/// cursor index.
+fn merge_records<R: Record, C: AsMut<KeyedBuf<R>>>(
+    sys: &mut DiskSystem<R>,
+    mut out_stripe: usize,
+    cursors: &mut [C],
+    out: &mut Vec<R>,
+    mut refill: impl FnMut(&mut DiskSystem<R>, &mut [C], usize) -> Result<bool, PdmError>,
+) -> Result<(), PdmError> {
+    let geom = sys.geometry();
+    let stripe_len = geom.block() * geom.disks();
+    // Cursor i's tree entry: its head record, refilling a drained
+    // buffer first.
+    let mut head = |sys: &mut DiskSystem<R>, cursors: &mut [C], i: usize| {
+        if cursors[i].as_mut().drained() && !refill(sys, cursors, i)? {
+            return Ok(EXHAUSTED);
+        }
+        let b = cursors[i].as_mut();
+        Ok::<_, PdmError>(entry(b.keys[b.pos], i))
+    };
+    let mut leaves = Vec::with_capacity(cursors.len());
+    for i in 0..cursors.len() {
+        leaves.push(head(sys, cursors, i)?);
+    }
+    let mut tree = LoserTree::new(&leaves);
+    out.clear();
+    while let Some((_, i)) = tree.peek() {
+        let b = cursors[i].as_mut();
+        out.push(b.recs[b.pos]);
+        b.pos += 1;
+        if out.len() == stripe_len {
+            sys.write_stripe(out_stripe, out)?;
+            out_stripe += 1;
+            out.clear();
+        }
+        tree.replace_winner(head(sys, cursors, i)?);
+    }
+    debug_assert!(out.is_empty(), "runs are stripe-aligned");
+    Ok(())
 }
 
 /// Sorts the `N` records in portion 0 by `key`, ascending, with the
@@ -217,10 +343,11 @@ pub fn sort_by_key<R: Record>(
     sort_by_key_with(sys, key, SortConfig::default())
 }
 
-/// Sorts the `N` records in portion 0 by `key`, ascending. Requires a
-/// disk system with at least two portions, and enough memory for a
-/// fan-in of at least two runs plus the buffers the chosen
-/// [`MergeStrategy`] needs.
+/// Sorts the `N` records in portion 0 by `key`, ascending and stably
+/// (records with equal keys keep their input order). Requires a disk
+/// system with at least two portions, and enough memory for a fan-in of
+/// at least two runs plus the buffers the chosen [`MergeStrategy`]
+/// needs.
 pub fn sort_by_key_with<R: Record>(
     sys: &mut DiskSystem<R>,
     key: impl Fn(&R) -> u64 + Copy,
@@ -247,16 +374,27 @@ pub fn sort_by_key_with<R: Record>(
     let msgs_before = sys.message_stats();
 
     // --- Run formation: memoryload-sized sorted runs into portion 1,
-    // streamed through the engine.
+    // streamed through the engine. Each record is keyed once: sorting
+    // packed (key, position) entries is stable and never calls `key`
+    // inside a comparison; the gather lands in the engine's scratch.
+    let formation_start = Instant::now();
     let mut engine: PassEngine<R> = PassEngine::new(geom);
+    let mut order: Vec<u128> = Vec::with_capacity(geom.memory());
     engine.run_pass(
         sys,
         |ml, _gather| ReadPlan::Memoryload { portion: 0, ml },
-        |ml, records, _scratch, _scatter| {
-            records.sort_unstable_by_key(|r| key(r));
+        |ml, records, scratch, _scatter| {
+            order.clear();
+            order.extend(records.iter().enumerate().map(|(p, r)| entry(key(r), p)));
+            order.sort_unstable();
+            for (slot, &e) in scratch.iter_mut().zip(&order) {
+                *slot = records[entry_index(e)];
+            }
+            std::mem::swap(records, scratch);
             WritePlan::Memoryload { portion: 1, ml }
         },
     )?;
+    let formation_time = formation_start.elapsed();
     let spm = geom.stripes_per_memoryload();
     let mut runs: Vec<Run> = (0..geom.memoryloads())
         .map(|ml| Run {
@@ -276,6 +414,7 @@ pub fn sort_by_key_with<R: Record>(
     // reaches a target-portion stripe only after every block of it has
     // been consumed, because all earlier-ranged runs together hold
     // exactly the records written before it).
+    let merge_start = Instant::now();
     let stripe_len = geom.block() * geom.disks();
     let mut out: Vec<R> = Vec::with_capacity(stripe_len);
     let mut target = 0usize;
@@ -312,7 +451,43 @@ pub fn sort_by_key_with<R: Record>(
         total: sys.stats().since(&before),
         msgs: sys.message_stats().since(&msgs_before),
         final_portion: runs[0].portion,
+        formation_time,
+        merge_time: merge_start.elapsed(),
     })
+}
+
+/// One run being consumed during a single-buffered merge: a reusable
+/// one-stripe buffer plus the read cursor.
+struct Cursor<R> {
+    run: Run,
+    /// `portion_base` of the run's portion.
+    base: usize,
+    next_stripe: usize,
+    buf: KeyedBuf<R>,
+}
+
+impl<R> AsMut<KeyedBuf<R>> for Cursor<R> {
+    fn as_mut(&mut self) -> &mut KeyedBuf<R> {
+        &mut self.buf
+    }
+}
+
+impl<R: Record> Cursor<R> {
+    /// Reads the run's next stripe into the buffer (in place, no
+    /// allocation); false when the run is done.
+    fn refill(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        key: impl Fn(&R) -> u64,
+    ) -> Result<bool, PdmError> {
+        if self.next_stripe >= self.run.end {
+            return Ok(false);
+        }
+        sys.read_stripe_into(self.base + self.next_stripe, &mut self.buf.recs)?;
+        self.next_stripe += 1;
+        self.buf.install(key);
+        Ok(true)
+    }
 }
 
 /// Merges a group of consecutive runs (each read from its own
@@ -326,37 +501,23 @@ fn merge_group<R: Record>(
     out: &mut Vec<R>,
 ) -> Result<(), PdmError> {
     let geom = sys.geometry();
-    let dst_base = sys.portion_base(dst);
     let stripe_len = geom.block() * geom.disks();
-
     let mut cursors: Vec<Cursor<R>> = group
         .iter()
-        .map(|&run| Cursor::new(run, sys.portion_base(run.portion), stripe_len))
+        .map(|&run| Cursor {
+            run,
+            base: sys.portion_base(run.portion),
+            next_stripe: run.start,
+            buf: KeyedBuf::new(stripe_len),
+        })
         .collect();
-    // Heap of (key, cursor index); pull the global minimum, refilling
-    // that cursor's stripe buffer on demand.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        if c.ensure(sys)? {
-            heap.push(Reverse((key(c.peek()), i)));
-        }
-    }
-    out.clear();
-    let mut out_stripe = group[0].start;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = cursors[i].pop();
-        out.push(rec);
-        if out.len() == stripe_len {
-            sys.write_stripe(dst_base + out_stripe, out)?;
-            out_stripe += 1;
-            out.clear();
-        }
-        if cursors[i].ensure(sys)? {
-            heap.push(Reverse((key(cursors[i].peek()), i)));
-        }
-    }
-    debug_assert!(out.is_empty(), "runs are stripe-aligned");
-    debug_assert!(cursors.iter().all(Cursor::exhausted));
+    let out_stripe = sys.portion_base(dst) + group[0].start;
+    merge_records(sys, out_stripe, &mut cursors, out, |sys, cursors, i| {
+        cursors[i].refill(sys, key)
+    })?;
+    debug_assert!(cursors
+        .iter()
+        .all(|c| c.buf.drained() && c.next_stripe >= c.run.end));
     Ok(())
 }
 
@@ -368,32 +529,21 @@ struct DbCursor<R: Record> {
     base: usize,
     /// Next stripe to *submit* (not yet issued).
     next_stripe: usize,
-    bufs: [Vec<R>; 2],
-    /// Which buffer the heap is draining.
-    cur: usize,
-    filled: usize,
-    pos: usize,
-    /// In-flight refill of `bufs[1 - cur]`.
+    /// The stripe the merge is draining.
+    buf: KeyedBuf<R>,
+    /// The other stripe buffer, target of the in-flight refill.
+    spare: Vec<R>,
+    /// In-flight refill of `spare`.
     pending: Option<ReadTicket<R>>,
 }
 
-impl<R: Record> DbCursor<R> {
-    fn new(run: Run, base: usize, stripe_len: usize) -> Self {
-        DbCursor {
-            run,
-            base,
-            next_stripe: run.start,
-            bufs: [
-                vec![R::default(); stripe_len],
-                vec![R::default(); stripe_len],
-            ],
-            cur: 0,
-            filled: 0,
-            pos: 0,
-            pending: None,
-        }
+impl<R: Record> AsMut<KeyedBuf<R>> for DbCursor<R> {
+    fn as_mut(&mut self) -> &mut KeyedBuf<R> {
+        &mut self.buf
     }
+}
 
+impl<R: Record> DbCursor<R> {
     /// Submits the next stripe read split-phase, if any remain and
     /// none is in flight. `refs` is a reusable scratch.
     fn prefetch(
@@ -412,45 +562,31 @@ impl<R: Record> DbCursor<R> {
         Ok(())
     }
 
-    /// Makes the next record available, completing the in-flight
-    /// refill and chaining the next prefetch; false when the run is
-    /// done.
-    fn ensure(
+    /// Makes the next stripe current: completes the in-flight refill
+    /// (submitting it first on the initial fill) and chains the next
+    /// prefetch; false when the run is done.
+    fn refill(
         &mut self,
         sys: &mut DiskSystem<R>,
         refs: &mut Vec<BlockRef>,
+        key: impl Fn(&R) -> u64,
     ) -> Result<bool, PdmError> {
-        if self.pos < self.filled {
-            return Ok(true);
-        }
+        self.prefetch(sys, refs)?;
         let Some(ticket) = self.pending.take() else {
             return Ok(false);
         };
-        let other = 1 - self.cur;
-        let len = self.bufs[other].len();
-        sys.finish_read(ticket, &mut self.bufs[other][..])?;
-        self.cur = other;
-        self.filled = len;
-        self.pos = 0;
+        sys.finish_read(ticket, &mut self.spare[..])?;
+        std::mem::swap(&mut self.buf.recs, &mut self.spare);
+        self.buf.install(key);
         // Start refilling the buffer just drained.
         self.prefetch(sys, refs).map(|()| true)
-    }
-
-    fn peek(&self) -> &R {
-        &self.bufs[self.cur][self.pos]
-    }
-
-    fn pop(&mut self) -> R {
-        let r = self.bufs[self.cur][self.pos];
-        self.pos += 1;
-        r
     }
 }
 
 /// Merges a group of consecutive runs with double-buffered cursors
 /// (split-phase prefetch). I/O *counts* are identical to
 /// [`merge_group`] — every stripe is still read exactly once — but in
-/// threaded mode the refills overlap the heap work.
+/// threaded mode the refills overlap the merge work.
 fn merge_group_db<R: Record>(
     sys: &mut DiskSystem<R>,
     dst: usize,
@@ -462,10 +598,20 @@ fn merge_group_db<R: Record>(
     let stripe_len = geom.block() * geom.disks();
     let mut cursors: Vec<DbCursor<R>> = group
         .iter()
-        .map(|&run| DbCursor::new(run, sys.portion_base(run.portion), stripe_len))
+        .map(|&run| DbCursor {
+            run,
+            base: sys.portion_base(run.portion),
+            next_stripe: run.start,
+            buf: KeyedBuf::new(stripe_len),
+            spare: vec![R::default(); stripe_len],
+            pending: None,
+        })
         .collect();
     let mut refs: Vec<BlockRef> = Vec::with_capacity(geom.disks());
-    let result = merge_group_db_inner(sys, dst, group, &mut cursors, &mut refs, key, out);
+    let out_stripe = sys.portion_base(dst) + group[0].start;
+    let result = merge_records(sys, out_stripe, &mut cursors, out, |sys, cursors, i| {
+        cursors[i].refill(sys, &mut refs, key)
+    });
     if result.is_err() {
         // Abort path: reclaim every in-flight prefetch so no pooled
         // buffers are stranded.
@@ -475,55 +621,14 @@ fn merge_group_db<R: Record>(
             }
         }
     }
+    debug_assert!(result.is_err() || cursors.iter().all(|c| c.pending.is_none()));
     result
 }
 
-#[allow(clippy::too_many_arguments)]
-fn merge_group_db_inner<R: Record>(
-    sys: &mut DiskSystem<R>,
-    dst: usize,
-    group: &[Run],
-    cursors: &mut [DbCursor<R>],
-    refs: &mut Vec<BlockRef>,
-    key: impl Fn(&R) -> u64 + Copy,
-    out: &mut Vec<R>,
-) -> Result<(), PdmError> {
-    let geom = sys.geometry();
-    let dst_base = sys.portion_base(dst);
-    let stripe_len = geom.block() * geom.disks();
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        c.prefetch(sys, refs)?;
-        if c.ensure(sys, refs)? {
-            heap.push(Reverse((key(c.peek()), i)));
-        }
-    }
-    out.clear();
-    let mut out_stripe = group[0].start;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = cursors[i].pop();
-        out.push(rec);
-        if out.len() == stripe_len {
-            sys.write_stripe(dst_base + out_stripe, out)?;
-            out_stripe += 1;
-            out.clear();
-        }
-        if cursors[i].ensure(sys, refs)? {
-            heap.push(Reverse((key(cursors[i].peek()), i)));
-        }
-    }
-    debug_assert!(out.is_empty(), "runs are stripe-aligned");
-    debug_assert!(cursors
-        .iter()
-        .all(|c| c.pending.is_none() && c.pos >= c.filled));
-    Ok(())
-}
-
 /// One run being consumed by the forecasting merge: a single *block*
-/// buffer plus the forecasting key (the key of the buffer's last
-/// record — blocks within a run are sorted, so the run with the
-/// smallest forecasting key is exactly the run whose buffer empties
-/// next).
+/// buffer whose last key is the run's forecasting key (blocks within
+/// a run are sorted, so the run with the smallest forecasting key is
+/// exactly the run whose buffer empties next).
 struct FcCursor<R> {
     run: Run,
     base: usize,
@@ -532,27 +637,16 @@ struct FcCursor<R> {
     /// disk `k mod D`.
     next_block: usize,
     total_blocks: usize,
-    buf: Vec<R>,
-    filled: usize,
-    pos: usize,
-    /// Forecasting key (valid while `filled > 0`).
-    fkey: u64,
+    buf: KeyedBuf<R>,
+}
+
+impl<R> AsMut<KeyedBuf<R>> for FcCursor<R> {
+    fn as_mut(&mut self) -> &mut KeyedBuf<R> {
+        &mut self.buf
+    }
 }
 
 impl<R: Record> FcCursor<R> {
-    fn new(run: Run, base: usize, block: usize, disks: usize) -> Self {
-        FcCursor {
-            run,
-            base,
-            next_block: 0,
-            total_blocks: (run.end - run.start) * disks,
-            buf: vec![R::default(); block],
-            filled: 0,
-            pos: 0,
-            fkey: 0,
-        }
-    }
-
     /// True while this cursor still has blocks that were neither
     /// landed nor submitted.
     fn has_unfetched(&self) -> bool {
@@ -567,30 +661,102 @@ impl<R: Record> FcCursor<R> {
         }
     }
 
-    fn peek(&self) -> &R {
-        &self.buf[self.pos]
-    }
-
-    fn pop(&mut self) -> R {
-        let r = self.buf[self.pos];
-        self.pos += 1;
-        r
-    }
-
-    /// Installs a freshly landed block and refreshes the forecasting
-    /// key.
-    fn install(&mut self, key: impl Fn(&R) -> u64) {
-        self.filled = self.buf.len();
-        self.pos = 0;
-        self.fkey = key(&self.buf[self.filled - 1]);
+    /// Demand-reads the next unfetched block straight into the buffer.
+    fn demand_read(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        key: impl Fn(&R) -> u64,
+    ) -> Result<(), PdmError> {
+        let r = self.next_ref(sys.geometry().disks());
+        sys.read_block_into(r, &mut self.buf.recs)?;
+        self.next_block += 1;
+        self.buf.install(key);
+        Ok(())
     }
 }
 
-/// The in-flight forecast prefetch: which cursor it refills and its
-/// split-phase ticket.
-struct FcPending<R: Record> {
-    cursor: usize,
-    ticket: ReadTicket<R>,
+/// The forecasting merge's prefetch state: the forecast heap, the one
+/// split-phase prefetch in flight, and its landing block.
+struct Forecast<R: Record> {
+    /// `(forecasting key, index)` of every cursor that has unfetched
+    /// blocks and no prefetch in flight — popped when its prefetch is
+    /// issued, pushed back when its next block is installed.
+    heap: BinaryHeap<Reverse<u128>>,
+    /// The in-flight prefetch: the cursor it refills and its ticket.
+    pending: Option<(usize, ReadTicket<R>)>,
+    /// Shared landing buffer for the prefetch: the one extra block of
+    /// residency the strategy charges against `M`.
+    landing: Vec<R>,
+}
+
+impl<R: Record> Forecast<R> {
+    /// Puts cursor `i` (just installed) back in the forecast heap if it
+    /// has blocks left to prefetch.
+    fn push(&mut self, cursors: &[FcCursor<R>], i: usize) {
+        if cursors[i].has_unfetched() {
+            self.heap.push(Reverse(entry(cursors[i].buf.last_key(), i)));
+        }
+    }
+
+    /// Submits the next prefetch: the first unfetched block of the run
+    /// predicted to empty next (smallest `(fkey, index)` — ties broken
+    /// like the merge's loser tree, so the prediction is exact even
+    /// with duplicate keys).
+    fn issue(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        cursors: &mut [FcCursor<R>],
+    ) -> Result<(), PdmError> {
+        debug_assert!(self.pending.is_none());
+        if let Some(Reverse(e)) = self.heap.pop() {
+            let i = entry_index(e);
+            let ticket = sys.begin_read_block(cursors[i].next_ref(sys.geometry().disks()))?;
+            cursors[i].next_block += 1;
+            self.pending = Some((i, ticket));
+        }
+        Ok(())
+    }
+
+    /// Makes cursor `i`'s next block current after its buffer drained;
+    /// false when its run is exhausted.
+    fn refill(
+        &mut self,
+        sys: &mut DiskSystem<R>,
+        cursors: &mut [FcCursor<R>],
+        i: usize,
+        key: impl Fn(&R) -> u64,
+    ) -> Result<bool, PdmError> {
+        // If cursor i has more blocks, the forecast guarantees the
+        // in-flight prefetch is exactly its next block.
+        match self.pending.take() {
+            Some((target, ticket)) if target == i => {
+                sys.finish_read(ticket, &mut self.landing)?;
+                std::mem::swap(&mut cursors[i].buf.recs, &mut self.landing);
+                cursors[i].buf.install(key);
+                self.push(cursors, i);
+                self.issue(sys, cursors)?;
+                Ok(true)
+            }
+            other => {
+                self.pending = other;
+                if !cursors[i].has_unfetched() {
+                    return Ok(false);
+                }
+                // The prediction is exact, so a drained cursor that is
+                // not the prefetch target has no blocks left. Guarded
+                // by a demand read rather than trusting the invariant:
+                // if a future edit ever breaks the exactness argument,
+                // the merge must fail loudly under debug and stay
+                // correct (every block still read exactly once) in
+                // release — not silently truncate the group.
+                debug_assert!(false, "forecast mispredicted the next empty run");
+                cursors[i].demand_read(sys, key)?;
+                self.heap.retain(|&Reverse(e)| entry_index(e) != i);
+                self.push(cursors, i);
+                Ok(true)
+            }
+        }
+    }
 }
 
 /// Merges a group of consecutive runs with forecasting block-granular
@@ -598,7 +764,7 @@ struct FcPending<R: Record> {
 /// block of the group is read exactly once — `D` read operations per
 /// stripe); writes remain striped. The one split-phase prefetch in
 /// flight always belongs to the run that empties next, so in threaded
-/// mode every refill is already resident when the heap demands it.
+/// mode every refill is already resident when the merge demands it.
 fn merge_group_fc<R: Record>(
     sys: &mut DiskSystem<R>,
     dst: usize,
@@ -608,129 +774,58 @@ fn merge_group_fc<R: Record>(
 ) -> Result<(), PdmError> {
     let geom = sys.geometry();
     let block = geom.block();
-    let disks = geom.disks();
     let mut cursors: Vec<FcCursor<R>> = group
         .iter()
-        .map(|&run| FcCursor::new(run, sys.portion_base(run.portion), block, disks))
+        .map(|&run| FcCursor {
+            run,
+            base: sys.portion_base(run.portion),
+            next_block: 0,
+            total_blocks: (run.end - run.start) * geom.disks(),
+            buf: KeyedBuf::new(block),
+        })
         .collect();
-    let mut pending: Option<FcPending<R>> = None;
-    let result = merge_group_fc_inner(sys, dst, group, &mut cursors, &mut pending, key, out);
+    let mut fc = Forecast {
+        heap: BinaryHeap::with_capacity(cursors.len()),
+        pending: None,
+        landing: vec![R::default(); block],
+    };
+    let result = merge_group_fc_inner(sys, dst, group, &mut cursors, &mut fc, key, out);
     if result.is_err() {
         // Abort path: reclaim the in-flight prefetch so no pooled
         // buffers are stranded.
-        if let Some(p) = pending.take() {
-            sys.discard_read(p.ticket);
+        if let Some((_, ticket)) = fc.pending.take() {
+            sys.discard_read(ticket);
         }
     }
     result
 }
 
-/// Submits the next prefetch: the first unfetched block of the run
-/// predicted to empty next (smallest `(fkey, index)` — ties broken
-/// like the merge heap, so the prediction is exact even with
-/// duplicate keys).
-fn fc_issue_prefetch<R: Record>(
-    sys: &mut DiskSystem<R>,
-    cursors: &mut [FcCursor<R>],
-    pending: &mut Option<FcPending<R>>,
-) -> Result<(), PdmError> {
-    debug_assert!(pending.is_none());
-    let disks = sys.geometry().disks();
-    let predicted = cursors
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.has_unfetched())
-        .min_by_key(|(i, c)| (c.fkey, *i))
-        .map(|(i, _)| i);
-    if let Some(i) = predicted {
-        let ticket = sys.begin_read_block(cursors[i].next_ref(disks))?;
-        cursors[i].next_block += 1;
-        *pending = Some(FcPending { cursor: i, ticket });
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
 fn merge_group_fc_inner<R: Record>(
     sys: &mut DiskSystem<R>,
     dst: usize,
     group: &[Run],
     cursors: &mut [FcCursor<R>],
-    pending: &mut Option<FcPending<R>>,
+    fc: &mut Forecast<R>,
     key: impl Fn(&R) -> u64 + Copy,
     out: &mut Vec<R>,
 ) -> Result<(), PdmError> {
-    let geom = sys.geometry();
-    let dst_base = sys.portion_base(dst);
-    let disks = geom.disks();
-    let stripe_len = geom.block() * disks;
-    // Shared landing buffer for the split-phase prefetch: the one
-    // extra block of residency the strategy charges against M.
-    let mut landing: Vec<R> = vec![R::default(); geom.block()];
-
     // Initial fill: every cursor's first block, demand-read (all runs
     // start at a stripe boundary, i.e. on disk 0, so these reads
     // cannot batch).
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        debug_assert!(c.has_unfetched(), "runs are non-empty");
-        sys.read_block_into(c.next_ref(disks), &mut c.buf)?;
-        c.next_block += 1;
-        c.install(key);
-        heap.push(Reverse((key(c.peek()), i)));
+    for i in 0..cursors.len() {
+        debug_assert!(cursors[i].has_unfetched(), "runs are non-empty");
+        cursors[i].demand_read(sys, key)?;
+        fc.push(cursors, i);
     }
-    fc_issue_prefetch(sys, cursors, pending)?;
-
-    out.clear();
-    let mut out_stripe = group[0].start;
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = cursors[i].pop();
-        out.push(rec);
-        if out.len() == stripe_len {
-            sys.write_stripe(dst_base + out_stripe, out)?;
-            out_stripe += 1;
-            out.clear();
-        }
-        if cursors[i].pos < cursors[i].filled {
-            heap.push(Reverse((key(cursors[i].peek()), i)));
-            continue;
-        }
-        // Cursor i drained its block. If it has more, the forecast
-        // guarantees the in-flight prefetch is exactly its next block.
-        match pending.take() {
-            Some(p) if p.cursor == i => {
-                sys.finish_read(p.ticket, &mut landing)?;
-                std::mem::swap(&mut cursors[i].buf, &mut landing);
-                cursors[i].install(key);
-                heap.push(Reverse((key(cursors[i].peek()), i)));
-                fc_issue_prefetch(sys, cursors, pending)?;
-            }
-            other => {
-                *pending = other;
-                // The run is exhausted: the prediction is exact, so a
-                // drained cursor that is not the prefetch target has
-                // no blocks left. Guarded by a demand read rather than
-                // trusting the invariant: if a future edit ever breaks
-                // the exactness argument, the merge must fail loudly
-                // under debug and stay correct (every block still read
-                // exactly once) in release — not silently truncate the
-                // group.
-                if cursors[i].has_unfetched() {
-                    debug_assert!(false, "forecast mispredicted the next empty run");
-                    let r = cursors[i].next_ref(disks);
-                    sys.read_block_into(r, &mut cursors[i].buf)?;
-                    cursors[i].next_block += 1;
-                    cursors[i].install(key);
-                    heap.push(Reverse((key(cursors[i].peek()), i)));
-                }
-            }
-        }
-    }
-    debug_assert!(out.is_empty(), "runs are stripe-aligned");
-    debug_assert!(pending.is_none(), "prefetch outlived the merge");
+    fc.issue(sys, cursors)?;
+    let out_stripe = sys.portion_base(dst) + group[0].start;
+    merge_records(sys, out_stripe, cursors, out, |sys, cursors, i| {
+        fc.refill(sys, cursors, i, key)
+    })?;
+    debug_assert!(fc.pending.is_none(), "prefetch outlived the merge");
     debug_assert!(cursors
         .iter()
-        .all(|c| c.pos >= c.filled && !c.has_unfetched()));
+        .all(|c| c.buf.drained() && !c.has_unfetched()));
     Ok(())
 }
 
@@ -740,7 +835,7 @@ mod tests {
     use pdm::{FaultPlan, Geometry, ServiceMode};
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn geom() -> Geometry {
         // N=2^10, B=2^2, D=2^2, M=2^6: M/BD = 4 stripes, fan-in 3.
@@ -972,7 +1067,7 @@ mod tests {
     #[test]
     fn forecast_merge_sorts_with_duplicate_keys() {
         // Duplicate keys stress the forecast tie-break: the prediction
-        // orders runs by (fkey, index) exactly like the merge heap.
+        // orders runs by (fkey, index) exactly like the merge's loser tree.
         let g = db_geom();
         let mut rng = StdRng::seed_from_u64(105);
         let mut records: Vec<u64> = (0..g.records() as u64).map(|i| i % 5).collect();
@@ -1066,5 +1161,98 @@ mod tests {
         let out = sys.dump_records(report.final_portion);
         let expect: Vec<u64> = (0..g.records() as u64).rev().collect();
         assert_eq!(out, expect);
+    }
+
+    /// Pops every entry through `tree`, feeding each winner's leaf its
+    /// next key from `lists` (exhausted once its list runs out).
+    fn drain_tree(lists: &[Vec<u64>]) -> Vec<(u64, usize)> {
+        let mut next = vec![0usize; lists.len()];
+        let head = |i: usize, next: &mut [usize]| match lists[i].get(next[i]) {
+            Some(&k) => {
+                next[i] += 1;
+                entry(k, i)
+            }
+            None => EXHAUSTED,
+        };
+        let leaves: Vec<u128> = (0..lists.len()).map(|i| head(i, &mut next)).collect();
+        let mut tree = LoserTree::new(&leaves);
+        let mut popped = Vec::new();
+        while let Some((k, i)) = tree.peek() {
+            popped.push((k, i));
+            tree.replace_winner(head(i, &mut next));
+        }
+        popped
+    }
+
+    /// The same pops through a binary heap of `Reverse((key, index))`.
+    fn drain_heap(lists: &[Vec<u64>]) -> Vec<(u64, usize)> {
+        let mut next = vec![0usize; lists.len()];
+        let mut heap = BinaryHeap::new();
+        for (i, l) in lists.iter().enumerate() {
+            if let Some(&k) = l.first() {
+                heap.push(Reverse((k, i)));
+                next[i] = 1;
+            }
+        }
+        let mut popped = Vec::new();
+        while let Some(Reverse((k, i))) = heap.pop() {
+            popped.push((k, i));
+            if let Some(&k) = lists[i].get(next[i]) {
+                heap.push(Reverse((k, i)));
+                next[i] += 1;
+            }
+        }
+        popped
+    }
+
+    #[test]
+    fn loser_tree_pops_like_a_binary_heap() {
+        let mut rng = StdRng::seed_from_u64(108);
+        for k in [1usize, 2, 3, 5, 128, 1019] {
+            for distinct in [3u64, 1 << 40] {
+                // Sorted lists of different lengths (some empty), so
+                // leaves run out at different times; a small key range
+                // makes most comparisons ties broken by index.
+                let lists: Vec<Vec<u64>> = (0..k)
+                    .map(|i| {
+                        let len = rng.gen_range(0..=(i % 7) * 3);
+                        let mut l: Vec<u64> =
+                            (0..len).map(|_| rng.gen_range(0..distinct)).collect();
+                        l.sort_unstable();
+                        l
+                    })
+                    .collect();
+                let total: usize = lists.iter().map(Vec::len).sum();
+                let popped = drain_tree(&lists);
+                assert_eq!(popped.len(), total, "k = {k}");
+                assert_eq!(popped, drain_heap(&lists), "k = {k}, {distinct} keys");
+            }
+        }
+    }
+
+    #[test]
+    fn loser_tree_handles_extreme_keys_and_empty_leaves() {
+        let lists = vec![
+            vec![],
+            vec![u64::MAX, u64::MAX],
+            vec![0, u64::MAX],
+            vec![],
+            vec![0],
+        ];
+        assert_eq!(drain_tree(&lists), drain_heap(&lists));
+        assert_eq!(drain_tree(&[vec![], vec![]]), vec![]);
+    }
+
+    #[test]
+    fn report_carries_phase_times() {
+        let g = geom();
+        let mut sys: DiskSystem<u64> = DiskSystem::new_mem(g, 2);
+        sys.load_records(0, &(0..g.records() as u64).rev().collect::<Vec<_>>());
+        let before = Instant::now();
+        let report = sort_by_key(&mut sys, |&r| r).unwrap();
+        let wall = before.elapsed();
+        assert!(report.formation_time > Duration::ZERO);
+        assert!(report.merge_time > Duration::ZERO);
+        assert!(report.formation_time + report.merge_time <= wall);
     }
 }

@@ -36,10 +36,14 @@ impl Geometry {
                 )));
             }
         }
-        if block * disks > memory {
+        let stripe = block.checked_mul(disks).ok_or_else(|| {
+            PdmError::Config(format!(
+                "BD = {block} x {disks} overflows the address space (usize)"
+            ))
+        })?;
+        if stripe > memory {
             return Err(PdmError::Config(format!(
-                "BD = {} exceeds memory M = {memory}",
-                block * disks
+                "BD = {stripe} exceeds memory M = {memory}"
             )));
         }
         if memory >= records {
@@ -201,6 +205,15 @@ mod tests {
     fn rejects_bd_exceeding_m() {
         // BD = 32 > M = 16.
         assert!(Geometry::new(64, 4, 8, 16).is_err());
+    }
+
+    #[test]
+    fn rejects_overflowing_bd_with_a_typed_error() {
+        // B·D = 2^64 wraps to 0 in release arithmetic, which used to
+        // pass the BD ≤ M check and divide by zero in `stripes`.
+        let err = Geometry::new(1 << 63, 1 << 32, 1 << 32, 1 << 62).unwrap_err();
+        assert!(matches!(err, PdmError::Config(_)), "got {err:?}");
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

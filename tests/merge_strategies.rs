@@ -5,7 +5,7 @@
 
 use bmmc::bounds;
 use extsort::{sort_by_key_with, MergeStrategy, SortConfig};
-use pdm::{DiskSystem, Geometry, ServiceMode};
+use pdm::{DiskSystem, Geometry, ServiceMode, TaggedRecord};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -130,8 +130,9 @@ proptest! {
         }
     }
 
-    /// Duplicate keys: merge order may differ between strategies, but
-    /// the output must be sorted and carry the same multiset.
+    /// Duplicate keys: both outputs are sorted and carry the same
+    /// multiset. (Tie order is pinned by `every_strategy_sorts_stably`;
+    /// here equal keys are equal records.)
     #[test]
     fn forecast_matches_single_buffered_multiset(
         seed in any::<u64>(),
@@ -152,6 +153,62 @@ proptest! {
             a.sort_unstable();
             b.sort_unstable();
             prop_assert_eq!(a, b, "multisets diverged ({:?})", mode);
+        }
+    }
+}
+
+/// Stable-sort oracle: records keyed by the adversarial catalogs and
+/// tagged with their input position come out exactly as std's stable
+/// `sort_by_key` orders them in RAM — every strategy, serial and
+/// threaded, on the geometry zoo plus one wide geometry whose forecast
+/// merge takes all 128 runs in one group (so the forecast's debug-mode
+/// misprediction check runs at a wide fan-in).
+#[test]
+fn every_strategy_sorts_stably() {
+    // B = 1, D = 2, M = 2^8: forecast fan-in M/B − D − 1 = 253 over
+    // N/M = 128 runs; single-buffered fan-in 127, double-buffered 63.
+    let wide = Geometry::new(1 << 15, 1, 1 << 1, 1 << 8).unwrap();
+    assert_eq!(MergeStrategy::Forecast.fan_in(&wide), 253);
+    let mut zoo = geometries();
+    zoo.push(wide);
+    for (gi, g) in zoo.into_iter().enumerate() {
+        let n = g.records();
+        let seed = 0x57AB + gi as u64;
+        let catalogs = [
+            (
+                "duplicate-heavy",
+                extsort::keys::duplicate_heavy(seed, n, 3),
+            ),
+            ("skewed", extsort::keys::skewed(seed, n, n as u64 * 4)),
+        ];
+        for (name, keys) in &catalogs {
+            let input: Vec<TaggedRecord> = keys
+                .iter()
+                .enumerate()
+                .map(|(pos, &key)| TaggedRecord {
+                    key,
+                    payload: pos as u64,
+                })
+                .collect();
+            let mut expect = input.clone();
+            expect.sort_by_key(|r| r.key);
+            for (merge, predicted) in STRATEGIES {
+                if predicted.fan_in(&g) < 2 {
+                    continue; // double-buffered may not fit the corner cases
+                }
+                for mode in [ServiceMode::Serial, ServiceMode::Threaded] {
+                    let mut sys: DiskSystem<TaggedRecord> = DiskSystem::new_mem(g, 2);
+                    sys.set_service_mode(mode);
+                    sys.load_records(0, &input);
+                    let report =
+                        sort_by_key_with(&mut sys, |r| r.key, SortConfig { merge }).unwrap();
+                    assert_eq!(sys.buffer_pool_stats().outstanding, 0);
+                    assert!(
+                        sys.dump_records(report.final_portion) == expect,
+                        "{merge:?} in {mode:?} is not a stable sort of the {name} input on {g:?}"
+                    );
+                }
+            }
         }
     }
 }
