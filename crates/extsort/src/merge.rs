@@ -377,6 +377,12 @@ pub fn sort_by_key_with<R: Record>(
     // streamed through the engine. Each record is keyed once: sorting
     // packed (key, position) entries is stable and never calls `key`
     // inside a comparison; the gather lands in the engine's scratch.
+    // `slice::sort_by_cached_key` does the same work but allocates its
+    // index vector per memoryload and permutes in place by swap
+    // chains: on the sort-shuffle geometry (N=2^20, B=2^3, D=4, M=2^13,
+    // random target-table key, 2-vCPU Xeon) its run formation took a
+    // median 67 ms against 54 ms here, slower in 8 of 8 alternating
+    // runs of 15 sorts each.
     let formation_start = Instant::now();
     let mut engine: PassEngine<R> = PassEngine::new(geom);
     let mut order: Vec<u128> = Vec::with_capacity(geom.memory());
