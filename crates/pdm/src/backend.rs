@@ -37,6 +37,37 @@ pub trait DiskUnit<R>: Send {
     fn read(&mut self, slot: usize, out: &mut [R]) -> Result<()>;
     /// Writes `data` (`data.len() == block()`) to block `slot`.
     fn write(&mut self, slot: usize, data: &[R]) -> Result<()>;
+
+    /// Reads the blocks at `slots` into consecutive block-sized chunks
+    /// of `buf` (`buf.len() == slots.len() * block()`). Every block is
+    /// attempted and the first failure is returned. The default loops
+    /// over [`DiskUnit::read`]; a unit behind a link overrides it to
+    /// move the whole run in one exchange.
+    fn read_run(&mut self, slots: &[usize], buf: &mut [R]) -> Result<()> {
+        let block = self.block();
+        let mut result = Ok(());
+        for (&slot, chunk) in slots.iter().zip(buf.chunks_exact_mut(block)) {
+            let r = self.read(slot, chunk);
+            if result.is_ok() {
+                result = r;
+            }
+        }
+        result
+    }
+
+    /// Writes the consecutive block-sized chunks of `buf` to `slots`,
+    /// with [`DiskUnit::read_run`]'s every-block, first-error contract.
+    fn write_run(&mut self, slots: &[usize], buf: &[R]) -> Result<()> {
+        let block = self.block();
+        let mut result = Ok(());
+        for (&slot, chunk) in slots.iter().zip(buf.chunks_exact(block)) {
+            let r = self.write(slot, chunk);
+            if result.is_ok() {
+                result = r;
+            }
+        }
+        result
+    }
 }
 
 /// An in-memory disk: `slots * block` records in one allocation.

@@ -19,7 +19,8 @@
 //! request and one reply instead of `M/BD` of each — the message
 //! analogue of the paper's one-memoryload-at-a-time I/O bound. A single
 //! block is a run of length one; there is no second command kind.
-//! Workers that own their disk unit loop over the run ([`serve_cmd`]);
+//! Workers that own their disk unit hand the whole run to it
+//! ([`serve_cmd`] → [`DiskUnit::read_run`] / [`DiskUnit::write_run`]);
 //! the wire transports expand it into one protocol frame per block, so
 //! their message and byte counts are those of per-block dispatch.
 //!
@@ -104,7 +105,8 @@ pub struct Completion<R> {
 }
 
 /// Services one command against a disk unit the calling worker owns:
-/// every slot of the run in order, then one reply. Returns `false` for
+/// the whole run through [`DiskUnit::read_run`] /
+/// [`DiskUnit::write_run`], then one reply. Returns `false` for
 /// [`Cmd::Stop`], which services nothing. Public so out-of-crate
 /// workers (the service's disk farm) share the loop.
 pub fn serve_cmd<R: Record>(unit: &mut dyn DiskUnit<R>, disk: usize, cmd: Cmd<R>) -> bool {
@@ -123,19 +125,12 @@ pub fn serve_cmd<R: Record>(unit: &mut dyn DiskUnit<R>, disk: usize, cmd: Cmd<R>
         } => (false, slots, buf, idx, done),
         Cmd::Stop => return false,
     };
-    let block = unit.block();
-    debug_assert_eq!(buf.len(), slots.len() * block, "run buffer size");
-    let mut result = Ok(());
-    for (&slot, chunk) in slots.iter().zip(buf.chunks_exact_mut(block)) {
-        let r = if is_read {
-            unit.read(slot, chunk)
-        } else {
-            unit.write(slot, chunk)
-        };
-        if result.is_ok() {
-            result = r;
-        }
-    }
+    debug_assert_eq!(buf.len(), slots.len() * unit.block(), "run buffer size");
+    let result = if is_read {
+        unit.read_run(&slots, &mut buf)
+    } else {
+        unit.write_run(&slots, &buf)
+    };
     let _ = done.send(Completion {
         idx,
         disk,

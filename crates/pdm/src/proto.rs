@@ -190,9 +190,17 @@ pub struct Hello {
 }
 
 impl Hello {
-    /// Bytes per block on the wire (and in the worker's store).
-    pub fn block_bytes(&self) -> usize {
-        self.block * self.record_bytes
+    /// Bytes per block on the wire (and in the worker's store). Both
+    /// factors come from the peer, so a product that overflows `usize`
+    /// is a typed [`PdmError::Config`], never a wrapped size that could
+    /// match a worker's real one.
+    pub fn block_bytes(&self) -> Result<usize> {
+        self.block.checked_mul(self.record_bytes).ok_or_else(|| {
+            PdmError::Config(format!(
+                "HELLO blocks of {} records x {} bytes overflow the address space",
+                self.block, self.record_bytes
+            ))
+        })
     }
 }
 
@@ -712,7 +720,7 @@ mod tests {
                 slots: 1024
             }
         );
-        assert_eq!(h.block_bytes(), 128);
+        assert_eq!(h.block_bytes(), Ok(128));
 
         let mut ok = Vec::new();
         encode_hello_ok(&mut ok, PROTO_VERSION);
@@ -736,6 +744,20 @@ mod tests {
             decode_hello_reply(body(&geo), PROTO_VERSION),
             Err(PdmError::Config(_))
         ));
+    }
+
+    /// A block size whose byte product overflows must not wrap: at
+    /// 2^61 eight-byte records the unchecked product was 0 — a size a
+    /// worker could compare equal against instead of refusing.
+    #[test]
+    fn hello_block_bytes_overflow_is_a_typed_config_error() {
+        let h = Hello {
+            version: PROTO_VERSION,
+            block: 1 << 61,
+            record_bytes: 8,
+            slots: 4,
+        };
+        assert!(matches!(h.block_bytes(), Err(PdmError::Config(_))));
     }
 
     #[test]

@@ -34,6 +34,18 @@
 //! reply frames, so message and byte counts do not depend on how the
 //! caller batched its commands.
 //!
+//! The worker loop ([`serve_stream`]) coalesces replies: they collect
+//! in one buffer that is written once no whole request frame is left
+//! in the read buffer (the next read could block), past 64 KiB, and
+//! before the loop returns on STOP. A pipelined batch of requests
+//! costs the worker one socket write instead of one per frame; the
+//! frames themselves are unchanged.
+//!
+//! Beside the transports, [`RemoteDisk`] speaks the same protocol as a
+//! blocking [`DiskUnit`] with worker respawn, for the job service's
+//! disk farm: it moves a whole run in pipelined windows of request
+//! frames, one socket write and one in-order reply read per window.
+//!
 //! The choice is configuration, not code: every algorithm takes
 //! `&mut DiskSystem<R>` and runs unmodified on any transport
 //! ([`crate::system::DiskSystem::new_with_transport`]). A TCP
@@ -162,7 +174,7 @@ pub fn serve_stream_with_version(
         let _ = writer.write_all(&reply);
         return Ok(());
     }
-    if hello.block_bytes() != worker.block_bytes() || hello.slots != worker.slots() {
+    if hello.block_bytes().ok() != Some(worker.block_bytes()) || hello.slots != worker.slots() {
         proto::encode_hello_bad_geometry(&mut reply, worker.block_bytes(), worker.slots());
         let _ = writer.write_all(&reply);
         return Ok(());
@@ -172,20 +184,47 @@ pub fn serve_stream_with_version(
         .write_all(&reply)
         .map_err(|e| io_err("write HELLO reply", e))?;
 
+    // Replies accumulate in `reply` and go out in one write once no
+    // whole request frame is left in the read buffer (the next read
+    // could block, so nothing may stay pending across it) or past
+    // REPLY_FLUSH bytes. A pipelined window then costs one write, not
+    // one per frame.
+    reply.clear();
+    let mut flush = |reply: &mut Vec<u8>| {
+        let r = writer.write_all(reply);
+        reply.clear();
+        r.map_err(|e| io_err("write reply", e))
+    };
     loop {
+        if reply.len() >= REPLY_FLUSH || (!reply.is_empty() && !holds_frame(reader.buffer())) {
+            flush(&mut reply)?;
+        }
         match read_frame(&mut reader, &mut frame) {
             Ok(_) => {}
             // Client gone (EOF or reset): a normal end of session.
             Err(_) => return Ok(()),
         }
-        reply.clear();
-        if !worker.handle(&frame, &mut reply)? {
-            return Ok(()); // STOP
+        match worker.handle(&frame, &mut reply) {
+            Ok(true) => {}
+            // STOP: the replies before it still belong to the client.
+            Ok(false) => return flush(&mut reply),
+            Err(e) => {
+                let _ = flush(&mut reply);
+                return Err(e);
+            }
         }
-        writer
-            .write_all(&reply)
-            .map_err(|e| io_err("write reply", e))?;
     }
+}
+
+/// Pending worker replies past this many bytes are written even while
+/// more requests are buffered.
+const REPLY_FLUSH: usize = 64 * 1024;
+
+/// Whether `buf` starts with a complete frame (header and body).
+fn holds_frame(buf: &[u8]) -> bool {
+    buf.len() >= FRAME_HEADER
+        && buf.len() - FRAME_HEADER
+            >= u32::from_le_bytes(buf[..FRAME_HEADER].try_into().unwrap()) as usize
 }
 
 /// Entry point for the `pdm-diskd` worker binary: binds the socket,
@@ -927,29 +966,52 @@ pub fn spawn_uds_workers<R: Record + ByteRecord>(
 // ---------------------------------------------------------------------
 // A blocking DiskUnit client (the job service's remote disk farm).
 
+/// Blocks per pipelined [`RemoteDisk`] exchange: one socket write
+/// carries the window's request frames, then the client reads their
+/// replies in order.
+///
+/// Both ends block: the client in its request write, the worker in
+/// its reply writes. They cannot wait on each other because a window's
+/// small direction — its read requests (21 wire bytes each) or its
+/// write replies (13 bytes each, a few dozen for an error) — fits in
+/// a Unix socket buffer without being read. Even at one kernel buffer
+/// per frame (about 1 KiB of accounting apiece), 64 frames stay far
+/// below the default ~208 KiB send buffer. So a write window's replies
+/// queue unread while the client finishes sending its blocks, and a
+/// read window's requests all go out before the client turns to read
+/// the large replies.
+const RUN_WINDOW: usize = 64;
+
 /// A synchronous [`DiskUnit`] over a `pdm-diskd` socket with bounded
 /// transparent worker respawn — the building block of the job
 /// service's UDS disk farm, where each farm worker thread drives one
 /// remote disk and a killed worker process must not take jobs down
 /// with it.
 ///
-/// Unlike [`UdsTransport`] (split-phase, pipelined, feeding the
-/// engine), `RemoteDisk` performs one request/reply round trip per
-/// call on the calling thread. On a dead socket it relaunches the
-/// worker per its [`RespawnSpec`] (file-backed stores reopen without
-/// truncation), replays the handshake, and retries the interrupted
-/// operation once — reads are idempotent and an interrupted write is
-/// simply re-sent, so the replay is safe. Respawns are bounded by
-/// `max_respawns` over the disk's lifetime; past the budget (or for a
-/// memory-backed store, whose contents died with the process) the
+/// Unlike [`UdsTransport`] (split-phase, feeding the engine),
+/// `RemoteDisk` works on the calling thread, a run at a time
+/// ([`DiskUnit::read_run`] / [`DiskUnit::write_run`]): it encodes up to
+/// 64 request frames into one reused buffer, sends them with
+/// one socket write, and reads the replies in order through a buffered
+/// reader straight into the run buffer. The frames are the per-block
+/// ones of [`crate::proto`], so message and byte counts match
+/// [`UdsTransport`]'s. On a dead socket it relaunches the worker per its
+/// [`RespawnSpec`] (file-backed stores reopen without truncation),
+/// replays the handshake, and replays the interrupted run once — reads
+/// are idempotent and re-sent writes carry the same bytes, so the
+/// replay is safe. Respawns are bounded by `max_respawns` over the
+/// disk's lifetime, and a run uses at most one; past the budget (or for
+/// a memory-backed store, whose contents died with the process) the
 /// typed [`PdmError::Disconnected`] surfaces exactly as without
 /// recovery.
 pub struct RemoteDisk<R: Record + ByteRecord> {
     spec: RespawnSpec,
-    stream: Option<UnixStream>,
+    /// The worker connection; requests are written through
+    /// `get_mut()`, replies read through the buffer.
+    stream: Option<BufReader<UnixStream>>,
     child: Option<Child>,
-    /// Crash injection: armed by the owner; consumed at the next
-    /// operation, which kills the worker mid-service and then
+    /// Crash injection: armed by the owner; consumed at the start of
+    /// the next run, which kills the worker mid-service and then
     /// recovers through the respawn path.
     kill: Arc<AtomicBool>,
     /// Shared ledger of successful respawns (the farm aggregates one
@@ -1002,7 +1064,7 @@ impl<R: Record + ByteRecord> RemoteDisk<R> {
         self.used_respawns
     }
 
-    fn handshake(spec: &RespawnSpec) -> Result<UnixStream> {
+    fn handshake(spec: &RespawnSpec) -> Result<BufReader<UnixStream>> {
         let mut stream = connect_with_retry(&spec.socket, Duration::from_secs(10))?;
         let mut frame = Vec::new();
         proto::encode_hello(&mut frame, spec.block, R::BYTES, spec.slots);
@@ -1012,18 +1074,18 @@ impl<R: Record + ByteRecord> RemoteDisk<R> {
         read_frame(&mut stream, &mut frame)
             .map_err(|e| PdmError::Io(format!("remote disk HELLO reply: {e}")))?;
         proto::decode_hello_reply(&frame, PROTO_VERSION)?;
-        Ok(stream)
+        Ok(BufReader::with_capacity(64 * 1024, stream))
     }
 
     /// Consumes an armed kill flag: murders the worker and severs the
-    /// socket, so the next round trip observes the crash immediately.
+    /// socket, so the run's first exchange observes the crash.
     fn maybe_kill(&mut self) {
         if self.kill.swap(false, Ordering::Relaxed) {
             if let Some(c) = self.child.as_mut() {
                 let _ = c.kill();
             }
             if let Some(s) = self.stream.take() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
+                let _ = s.get_ref().shutdown(std::net::Shutdown::Both);
             }
         }
     }
@@ -1055,47 +1117,87 @@ impl<R: Record + ByteRecord> RemoteDisk<R> {
         Ok(())
     }
 
-    /// Writes the frame in `req`, reads the reply body into `rep`. A
-    /// broken socket surfaces as `Disconnected` with the stream
-    /// dropped so the caller's recovery path engages.
-    fn send_recv(&mut self) -> Result<()> {
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(PdmError::Disconnected { disk: usize::MAX });
-        };
-        if stream.write_all(&self.req).is_err() || read_frame(stream, &mut self.rep).is_err() {
-            self.stream = None;
-            return Err(PdmError::Disconnected { disk: usize::MAX });
+    /// Moves one run over the socket, [`RUN_WINDOW`] blocks per
+    /// exchange: `encode` appends block `j`'s request frame under the
+    /// given index, `decode` takes block `j`'s reply payload. Every
+    /// block is attempted and the first failure is returned, except
+    /// that a broken socket returns `Disconnected` at once, with the
+    /// stream dropped so the caller's recovery path engages.
+    fn exchange_run(
+        &mut self,
+        blocks: usize,
+        mut encode: impl FnMut(&mut Vec<u8>, u64, usize),
+        mut decode: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let mut result = Ok(());
+        for start in (0..blocks).step_by(RUN_WINDOW) {
+            let window = start..blocks.min(start + RUN_WINDOW);
+            let first_seq = self.seq + 1;
+            self.req.clear();
+            for j in window.clone() {
+                self.seq += 1;
+                encode(&mut self.req, self.seq, j);
+            }
+            let Some(stream) = self.stream.as_mut() else {
+                return Err(PdmError::Disconnected { disk: usize::MAX });
+            };
+            if stream.get_mut().write_all(&self.req).is_err() {
+                self.stream = None;
+                return Err(PdmError::Disconnected { disk: usize::MAX });
+            }
+            for (seq, j) in (first_seq..).zip(window) {
+                if read_frame(stream, &mut self.rep).is_err() {
+                    self.stream = None;
+                    return Err(PdmError::Disconnected { disk: usize::MAX });
+                }
+                let r = proto::decode_reply(&self.rep).and_then(|reply| {
+                    if reply.idx != seq {
+                        return Err(PdmError::Io(format!(
+                            "remote disk reply {} answers request {seq}",
+                            reply.idx
+                        )));
+                    }
+                    decode(j, reply.result?)
+                });
+                if result.is_ok() {
+                    result = r;
+                }
+            }
         }
-        Ok(())
+        result
     }
 
-    fn read_once(&mut self, slot: usize, out: &mut [R]) -> Result<()> {
-        self.seq += 1;
-        self.req.clear();
-        proto::encode_read(&mut self.req, self.seq, slot as u64);
-        self.send_recv()?;
-        let reply = proto::decode_reply(&self.rep)?;
-        let payload = reply.result?;
-        if payload.len() != self.spec.block * R::BYTES {
-            return Err(PdmError::Io(format!(
-                "remote disk read reply carries {} bytes, expected {}",
-                payload.len(),
-                self.spec.block * R::BYTES
-            )));
-        }
-        for (chunk, r) in payload.chunks_exact(R::BYTES).zip(out.iter_mut()) {
-            *r = R::from_bytes(chunk);
-        }
-        Ok(())
+    fn read_run_once(&mut self, slots: &[usize], buf: &mut [R]) -> Result<()> {
+        let block = self.spec.block;
+        self.exchange_run(
+            slots.len(),
+            |req, seq, j| proto::encode_read(req, seq, slots[j] as u64),
+            |j, payload| {
+                let out = &mut buf[j * block..(j + 1) * block];
+                if payload.len() != block * R::BYTES {
+                    return Err(PdmError::Io(format!(
+                        "remote disk read reply carries {} bytes, expected {}",
+                        payload.len(),
+                        block * R::BYTES
+                    )));
+                }
+                for (bytes, r) in payload.chunks_exact(R::BYTES).zip(out.iter_mut()) {
+                    *r = R::from_bytes(bytes);
+                }
+                Ok(())
+            },
+        )
     }
 
-    fn write_once(&mut self, slot: usize, data: &[R]) -> Result<()> {
-        self.seq += 1;
-        self.req.clear();
-        proto::encode_write(&mut self.req, self.seq, slot as u64, data);
-        self.send_recv()?;
-        let reply = proto::decode_reply(&self.rep)?;
-        reply.result.map(|_| ())
+    fn write_run_once(&mut self, slots: &[usize], buf: &[R]) -> Result<()> {
+        let block = self.spec.block;
+        self.exchange_run(
+            slots.len(),
+            |req, seq, j| {
+                proto::encode_write(req, seq, slots[j] as u64, &buf[j * block..(j + 1) * block])
+            },
+            |_, _| Ok(()),
+        )
     }
 }
 
@@ -1109,22 +1211,32 @@ impl<R: Record + ByteRecord> DiskUnit<R> for RemoteDisk<R> {
     }
 
     fn read(&mut self, slot: usize, out: &mut [R]) -> Result<()> {
+        self.read_run(std::slice::from_ref(&slot), out)
+    }
+
+    fn write(&mut self, slot: usize, data: &[R]) -> Result<()> {
+        self.write_run(std::slice::from_ref(&slot), data)
+    }
+
+    fn read_run(&mut self, slots: &[usize], buf: &mut [R]) -> Result<()> {
+        debug_assert_eq!(buf.len(), slots.len() * self.spec.block, "run buffer size");
         self.maybe_kill();
-        match self.read_once(slot, out) {
+        match self.read_run_once(slots, buf) {
             Err(PdmError::Disconnected { .. }) => {
                 self.recover()?;
-                self.read_once(slot, out)
+                self.read_run_once(slots, buf)
             }
             r => r,
         }
     }
 
-    fn write(&mut self, slot: usize, data: &[R]) -> Result<()> {
+    fn write_run(&mut self, slots: &[usize], buf: &[R]) -> Result<()> {
+        debug_assert_eq!(buf.len(), slots.len() * self.spec.block, "run buffer size");
         self.maybe_kill();
-        match self.write_once(slot, data) {
+        match self.write_run_once(slots, buf) {
             Err(PdmError::Disconnected { .. }) => {
                 self.recover()?;
-                self.write_once(slot, data)
+                self.write_run_once(slots, buf)
             }
             r => r,
         }
@@ -1136,7 +1248,7 @@ impl<R: Record + ByteRecord> Drop for RemoteDisk<R> {
         let graceful = if let Some(mut s) = self.stream.take() {
             self.req.clear();
             proto::encode_stop(&mut self.req);
-            s.write_all(&self.req).is_ok()
+            s.get_mut().write_all(&self.req).is_ok()
         } else {
             false
         };
@@ -1525,6 +1637,126 @@ mod tests {
         let c = rx.recv().unwrap();
         c.result.unwrap();
         assert_eq!(c.buf, vec![5, 6], "store survived the crash");
+    }
+
+    /// A [`RemoteDisk`] connected to a memory worker served on a plain
+    /// thread: the run exchange without the worker binary (no child,
+    /// so nothing to respawn).
+    fn remote_disk_on_thread(
+        dir: &TempDir,
+        block: usize,
+        slots: usize,
+    ) -> (RemoteDisk<u64>, JoinHandle<()>) {
+        let socket = dir.path().join("r.sock");
+        let listener = UnixListener::bind(&socket).unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut worker = Worker::new_mem(block * u64::BYTES, slots).unwrap();
+            serve_stream(stream, &mut worker).unwrap();
+        });
+        let spec = RespawnSpec {
+            bin: PathBuf::new(),
+            socket,
+            block,
+            slots,
+            file: None,
+        };
+        let stream = RemoteDisk::<u64>::handshake(&spec).unwrap();
+        let disk = RemoteDisk {
+            spec,
+            stream: Some(stream),
+            child: None,
+            kill: Arc::default(),
+            respawns: Arc::default(),
+            max_respawns: 0,
+            used_respawns: 0,
+            seq: 0,
+            req: Vec::new(),
+            rep: Vec::new(),
+            _records: PhantomData,
+        };
+        (disk, server)
+    }
+
+    /// An out-of-range slot inside a pipelined run fails only its own
+    /// block: every other block of the run (across several windows)
+    /// still moves, and the first failure is the one reported — the
+    /// per-block loop's contract.
+    #[test]
+    fn remote_disk_run_executes_every_block_around_a_bad_slot() {
+        let dir = TempDir::new("pdm-remote-run");
+        let (block, slots) = (2, 256);
+        let (mut disk, server) = remote_disk_on_thread(&dir, block, slots);
+        let len = 2 * RUN_WINDOW + 10;
+        let mut run: Vec<usize> = (0..len).collect();
+        run[RUN_WINDOW + 5] = 999; // first bad slot, in the second window
+        run[len - 3] = 1000; // a later one
+        let data: Vec<u64> = (0..(len * block) as u64).map(|x| x + 1).collect();
+        let first_bad = PdmError::OutOfRange {
+            disk: usize::MAX,
+            slot: 999,
+            slots_per_disk: slots,
+        };
+        assert_eq!(disk.write_run(&run, &data), Err(first_bad.clone()));
+        let mut out = vec![0u64; len * block];
+        assert_eq!(disk.read_run(&run, &mut out), Err(first_bad));
+        for (j, &slot) in run.iter().enumerate() {
+            let (got, want) = (
+                &out[j * block..(j + 1) * block],
+                &data[j * block..(j + 1) * block],
+            );
+            if slot < slots {
+                assert_eq!(got, want, "block {j} round-trips");
+            } else {
+                assert_eq!(got, [0, 0], "bad block {j} is left alone");
+            }
+        }
+        // The stream stayed in step: a single-block call still works.
+        let mut one = [0u64; 2];
+        disk.read(0, &mut one).unwrap();
+        assert_eq!(one, [1, 2]);
+        drop(disk); // STOP
+        server.join().unwrap();
+    }
+
+    /// The worker coalesces its replies, but a STOP that arrives in the
+    /// same read as earlier requests must not strand their replies.
+    #[test]
+    fn serve_stream_flushes_pending_replies_before_stop() {
+        let (client, server) = UnixStream::pair().unwrap();
+        let handle = std::thread::spawn(move || {
+            let mut worker = Worker::new_mem(16, 8).unwrap();
+            serve_stream(server, &mut worker).unwrap();
+        });
+        let mut req = Vec::new();
+        proto::encode_hello(&mut req, 2, 8, 8);
+        for slot in 0..8u64 {
+            proto::encode_write::<u64>(&mut req, slot, slot, &[slot, slot + 10]);
+        }
+        for slot in 0..8u64 {
+            proto::encode_read(&mut req, 8 + slot, slot);
+        }
+        proto::encode_stop(&mut req);
+        let mut writer = client.try_clone().unwrap();
+        writer.write_all(&req).unwrap();
+        let mut reader = BufReader::new(client);
+        let mut frame = Vec::new();
+        read_frame(&mut reader, &mut frame).unwrap();
+        proto::decode_hello_reply(&frame, PROTO_VERSION).unwrap();
+        for idx in 0..16u64 {
+            read_frame(&mut reader, &mut frame).unwrap();
+            let reply = proto::decode_reply(&frame).unwrap();
+            assert_eq!(reply.idx, idx);
+            let payload = reply.result.unwrap();
+            if idx >= 8 {
+                assert_eq!(u64::from_bytes(&payload[..8]), idx - 8);
+            }
+        }
+        handle.join().unwrap();
+        assert!(
+            read_frame(&mut reader, &mut frame).is_err(),
+            "nothing after the replies"
+        );
     }
 
     #[test]

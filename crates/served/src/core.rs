@@ -374,7 +374,9 @@ impl ServiceCore {
             spec.memory,
         )
         .map_err(|e| Reject::BadGeometry(e.to_string()))?;
-        let need = spec.kind.portions() * geom.stripes();
+        // An overflowing product can only exceed the farm: saturate it
+        // into the typed reject rather than let it wrap to a small need.
+        let need = spec.kind.portions().saturating_mul(geom.stripes());
         if need > self.config.slots {
             return Err(Reject::TooLarge {
                 need,
@@ -760,6 +762,27 @@ mod tests {
             Err(Reject::TooLarge { need, have }) => assert!(need > have),
             other => panic!("expected TooLarge, got {other:?}"),
         }
+    }
+
+    /// On a B·D = 1 farm, N = 2^63 makes `portions × N/BD` = 2^64,
+    /// which wrapped to a need of 0 and admitted the job; it must be
+    /// the typed TooLarge reject.
+    #[test]
+    fn overflowing_need_is_too_large() {
+        let core = ServiceCore::new(ServiceConfig {
+            block: 1,
+            disks: 1,
+            slots: 1 << 10,
+            max_running: 0,
+            ..ServiceConfig::default()
+        });
+        match core.submit(JobSpec::new(JobKind::Bmmc, 1 << 63, 1 << 4, 0), None) {
+            Err(Reject::TooLarge { need, have }) => {
+                assert_eq!((need, have), (usize::MAX, 1 << 10))
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        core.shutdown();
     }
 
     #[test]

@@ -1,10 +1,17 @@
 //! The shared disk array behind the service: one worker thread per
 //! physical disk, many tenant [`DiskSystem`]s.
 //!
-//! A [`DiskFarm`] owns `D` memory-backed disk workers, each a thread
-//! serving run commands from a channel with the same loop as
+//! A [`DiskFarm`] owns `D` disk workers, each a thread serving run
+//! commands from a channel with the same loop as
 //! [`pdm::parallel::InProcTransport`] ([`pdm::parallel::serve_cmd`]) —
-//! except that *many* clients hold senders to the same worker. Each admitted job
+//! except that *many* clients hold senders to the same worker. The
+//! worker hands each run whole to its disk unit
+//! ([`DiskUnit::read_run`] / [`DiskUnit::write_run`]): a [`MemDisk`]
+//! loops over the blocks, while the UDS backend's [`RemoteDisk`] sends
+//! the run to its `pdm-diskd` process in pipelined windows — one
+//! socket write and one in-order read of the replies per window, not
+//! one blocking round trip per block — and replays a run once after
+//! respawning a crashed worker. Each admitted job
 //! leases a contiguous range of block slots on every disk
 //! ([`DiskFarm::lease_system`]) and gets its own
 //! [`DiskSystem`] whose per-disk `FarmTransport`s translate the
@@ -132,9 +139,9 @@ impl Drop for Lease {
     }
 }
 
-/// The shared disk array: `D` worker threads, each owning one
-/// memory-backed disk of `slots` blocks, serving commands from every
-/// tenant's `FarmTransport`s.
+/// The shared disk array: `D` worker threads, each owning one disk
+/// unit of `slots` blocks (a [`MemDisk`] or a [`RemoteDisk`]), serving
+/// commands from every tenant's `FarmTransport`s.
 #[derive(Debug)]
 pub struct DiskFarm<R: Record> {
     block: usize,
@@ -253,7 +260,12 @@ impl<R: Record> DiskFarm<R> {
                 self.senders.len()
             )));
         }
-        let need = portions * geom.stripes();
+        let need = portions.checked_mul(geom.stripes()).ok_or_else(|| {
+            PdmError::Config(format!(
+                "lease of {portions} portions x {} stripes overflows the address space",
+                geom.stripes()
+            ))
+        })?;
         let base = {
             let mut alloc = self.alloc.lock().expect("slot allocator poisoned");
             alloc.alloc(need).ok_or_else(|| {
@@ -309,7 +321,8 @@ impl<R: Record + ByteRecord> DiskFarm<R> {
     /// Spawns `disks` file-backed `pdm-diskd` worker processes (one
     /// per disk, sockets and backing files in a fresh temp
     /// directory) and a farm worker thread per process holding the
-    /// blocking [`RemoteDisk`] client. Each disk carries a
+    /// blocking [`RemoteDisk`] client, which moves each run in
+    /// pipelined windows of frames. Each disk carries a
     /// crash-injection kill flag and shares the farm's respawn
     /// ledger; a killed worker is relaunched with `--reopen`, so its
     /// store survives, up to `max_respawns` times per disk.
@@ -487,6 +500,18 @@ mod tests {
             Err(other) => panic!("expected capacity error, got {other:?}"),
             Ok(_) => panic!("expected capacity error, got a lease"),
         }
+    }
+
+    #[test]
+    fn overflowing_lease_is_a_typed_config_error() {
+        let farm: DiskFarm<u64> = DiskFarm::new(1, 1, 64);
+        let geom = Geometry::new(1 << 63, 1, 1, 1 << 4).unwrap();
+        match farm.lease_system(geom, 2) {
+            Err(PdmError::Config(msg)) => assert!(msg.contains("overflow"), "{msg}"),
+            Err(other) => panic!("expected overflow error, got {other:?}"),
+            Ok(_) => panic!("expected overflow error, got a lease"),
+        }
+        assert_eq!(farm.free_slots(), 64);
     }
 
     #[test]
